@@ -100,10 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor", choices=("process", "thread", "serial"), default="process"
     )
     p_farm.add_argument(
-        "--schedule", choices=("static", "demand", "adaptive"), default=None,
-        help="task scheduling: static upfront list, demand-driven block queue, "
-             "or adaptive sequence chains with tail-stealing "
-             "(default: static for --transport process, adaptive for tcp)",
+        "--schedule", choices=("static", "demand", "adaptive"), default="static",
+        help="task scheduling on either transport: static unit list cut by --mode "
+             "(the only one --run-dir/--resume can spool), demand-driven block "
+             "queue, or adaptive sequence chains with tail-stealing",
     )
     p_farm.add_argument(
         "--transport", choices=("process", "tcp"), default="process",
@@ -430,11 +430,6 @@ def _cmd_table1(args) -> int:
 def _cmd_farm(args) -> int:
     from .api import render
 
-    # The network master serves a scheduling policy, so tcp cannot run the
-    # static upfront task list; default each transport to its natural mode.
-    schedule = args.schedule
-    if schedule is None:
-        schedule = "adaptive" if args.transport == "tcp" else "static"
     if args.status_port is not None:
         print(
             f"live status on http://127.0.0.1:{args.status_port}/status "
@@ -458,7 +453,7 @@ def _cmd_farm(args) -> int:
         n_workers=args.workers,
         mode=args.mode,
         executor=args.executor,
-        schedule=schedule,
+        schedule=args.schedule,
         transport=args.transport,
         segment_frames=args.segment_frames,
         tile_px=0 if args.no_tiles else args.tile_px,

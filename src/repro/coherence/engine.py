@@ -192,6 +192,12 @@ class CoherentRenderer:
     def frames_remaining(self) -> int:
         return self.last_frame - self._state.next_frame
 
+    @staticmethod
+    def camera_moved(prev_cam, cam) -> bool:
+        """True when a sequence shot from ``prev_cam`` cannot continue to
+        ``cam`` — the test :meth:`render_next` refuses to cross."""
+        return not np.allclose(cam.position, prev_cam.position)
+
     # -- the algorithm --------------------------------------------------------
     def predict_dirty_pixels(self, prev_scene, curr_scene) -> tuple[np.ndarray, int]:
         """Recompute set for the transition prev -> curr, within the region."""
@@ -216,9 +222,7 @@ class CoherentRenderer:
         cam = scene.camera
         if (cam.width, cam.height) != (self.width, self.height):
             raise ValueError("camera resolution changed mid-sequence")
-        if state.prev_scene is not None and not np.allclose(
-            cam.position, state.prev_scene.camera.position
-        ):
+        if state.prev_scene is not None and self.camera_moved(state.prev_scene.camera, cam):
             raise ValueError(
                 "camera moved mid-sequence: frame coherence requires a stationary "
                 "camera; split the animation with split_coherent_sequences()"

@@ -338,6 +338,17 @@ class FrameAssembler:
             for fb in self._frames:
                 fb.release()
 
+    def segment(self, box, frame0: int, frame1: int) -> np.ndarray:
+        """Copy of the box's composited pixels over ``[frame0, frame1)``,
+        ``(n, h, w, 3)`` — the inverse of :meth:`add_segment`."""
+        x0, y0, x1, y1 = self._box(box)
+        with self._lock:
+            self._check_live()
+            return np.stack([
+                self._frames[self._check_frame(f)].image[y0:y1, x0:x1]
+                for f in range(int(frame0), int(frame1))
+            ])
+
     def frame_image(self, frame: int) -> np.ndarray:
         with self._lock:
             self._check_live()

@@ -420,6 +420,10 @@ class MasterServer:
                 "tiles": conn.tiles,
                 "tile_px": self.tile_px,
             })
+            # First clock sample at join, not one heartbeat later: a run
+            # shorter than the interval still gets its obs.clock offset.
+            self._send(conn, wire.MSG_PING, {"t": now})
+            self.net.n_pings += 1
             self.net.n_workers_joined += 1
             self.telemetry.event(
                 "net.worker.join",

@@ -132,7 +132,7 @@ def corrupt_result(result):
     """Smear NaNs into the first float array of a task result tuple.
 
     Models a worker returning garbage pixels (bad RAM, truncated
-    transfer); generic over the farm's per-mode result layouts because it
+    transfer); generic over task result layouts because it
     only needs to defeat the supervisor's finite-value check.
     """
     from ..buffers import FrameRef

@@ -6,38 +6,46 @@ decomposition with live processes, demonstrating the protocol end-to-end
 and providing the ground truth that partitioned rendering assembles the
 same images as a single renderer.
 
-Both of the paper's schemes are implemented:
+Both of the paper's schemes cut the animation into ``(region,
+frame-range)`` units that one master hands out:
 
 * ``frame`` mode — frame division: the image is tiled into blocks; each
-  worker owns a block and renders it coherently across every frame.
-* ``sequence`` mode — sequence division: each worker owns a contiguous
-  frame range and renders whole frames coherently inside it.
+  unit is one block rendered coherently across every frame.
+* ``sequence`` mode — sequence division: each unit is a contiguous frame
+  range of whole frames, one per worker.
 * ``hybrid`` mode — the paper's "each processor computes pixels in a
-  subarea of a frame for a subsequence of the entire animation": one task
+  subarea of a frame for a subsequence of the entire animation": one unit
   per (block, frame-chunk) pair.
+
+No unit spans a camera cut (:func:`~repro.scene.split_coherent_sequences`),
+and the list is frame-major, so early frames complete early.
 
 Executors: ``process`` (fork-based multiprocessing; the real thing),
 ``thread`` (shared-memory; numpy releases the GIL enough to help), and
 ``serial`` (deterministic in-process reference).
 
-Scheduling: the default ``schedule="static"`` builds the task list
-upfront (one task per block / range / chunk).  ``"demand"`` and
-``"adaptive"`` instead drive the supervisor through a pure scheduling
-policy (:mod:`repro.sched`) — the same state machines the cluster
-simulator replays: demand-driven (block x frame-chunk) distribution, and
-adaptive sequence subdivision with tail-stealing plus a worker-side
-renderer-continuation cache so a chain's coherence survives across its
-segment tasks on the thread/serial executors.
+Scheduling: every run drives a pure scheduling policy
+(:mod:`repro.sched`, the same state machines the cluster simulator
+replays) through one transport — the supervised pool
+(:class:`~repro.sched.process.ProcessTransport`) or the loopback network
+farm (:class:`~repro.net.master.TcpTransport`) — and every worker runs
+:func:`_render_segment_task`.  The default ``schedule="static"`` hands
+out the unit list ``mode`` fixes before the run starts; ``"demand"``
+hands out block x frame-chunk units; ``"adaptive"`` runs sequence chains
+with tail-stealing plus a worker-side renderer-continuation cache so a
+chain's coherence survives across its segment tasks on the thread/serial
+executors and TCP daemons.
 
-Dispatch is **supervised** (:mod:`repro.runtime.supervisor`): tasks are
-submitted individually with per-task deadlines, crashed or hung workers
-are detected and their tasks re-queued with capped retries, corrupted
-outputs are rejected by a shape/finiteness check before assembly, and a
-task that keeps failing degrades to in-process serial execution instead
-of aborting the render.  Passing ``run_dir`` to :meth:`LocalRenderFarm.
-render` spools each completed task to disk as it arrives; a later
-``render(resume=run_dir)`` skips the finished tasks — checkpoint/resume
-at the task granularity, complementing the intra-chain granularity of
+Dispatch is **supervised**: tasks carry per-task deadlines, crashed or
+hung workers are detected and their tasks re-queued with capped retries,
+corrupted outputs are rejected by a shape/finiteness check before
+assembly, and (on the pool) a task that keeps failing degrades to
+in-process serial execution instead of aborting the render.  Passing
+``run_dir`` to :meth:`LocalRenderFarm.render` (static schedule, either
+transport) spools each completed unit to disk as it arrives; a later
+``render(resume=run_dir)`` drops the finished units from the list before
+the policy is built — checkpoint/resume at the unit granularity,
+complementing the intra-chain granularity of
 :mod:`repro.coherence.checkpoint`.
 """
 
@@ -46,7 +54,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +64,7 @@ from ..geometry import RayKind
 from ..obs.trace import TraceContext, flight_span_id, new_run_id, worker_session
 from ..parallel.partition import PixelRegion, default_block_layout, sequence_ranges
 from ..render import RayStats
+from ..scene import split_coherent_sequences
 from ..telemetry import NULL as NULL_TELEMETRY
 from ..buffers import (
     FrameRef,
@@ -68,7 +77,7 @@ from ..telemetry import Telemetry
 from ..telemetry.profiling import profile_into
 from .faults import FaultPlan
 from .spec import AnimationSpec
-from .supervisor import TaskAttempt, TaskSupervisor, task_context
+from .supervisor import SupervisorOutcome, TaskAttempt, task_context
 
 __all__ = ["LocalRenderFarm", "FarmResult"]
 
@@ -147,7 +156,7 @@ def _ctx_worker(ctx) -> str:
     """The worker identity a task span should report: the scheduling lane
     the dispatcher stamped into the trace context (stable, shared with
     the master's flight spans), falling back to the local pid/thread
-    label for static task lists."""
+    label on an untraced run."""
     if isinstance(ctx, dict) and ctx.get("worker"):
         return str(ctx["worker"])
     return _worker_label()
@@ -182,126 +191,9 @@ def _finish_worker_events(tel: Telemetry, sink) -> str:
     return tel.serialize_events(sink.events)
 
 
-def _render_block_task(args):
-    """Frame-division worker: render one block across all frames."""
-    spec, box, grid_resolution, samples, tel_ctx, profile_dir = args
-    anim = _get_anim(spec)
-    region = PixelRegion(*box, width=anim.camera_at(0).width).pixels
-    tel, sink = _worker_telemetry(tel_ctx)
-    _idx, attempt = task_context()
-    with profile_into(_worker_profile_path(profile_dir)):
-        with tel.span(
-            "task",
-            worker=_ctx_worker(tel_ctx),
-            mode="frame",
-            frame0=0,
-            frame1=anim.n_frames,
-            region=int(region.size),
-            rays=0,
-            n_computed=0,
-            attempt=attempt,
-        ) as sp:
-            renderer = CoherentRenderer(
-                anim,
-                region=region,
-                grid_resolution=grid_resolution,
-                samples_per_axis=samples,
-                telemetry=tel,
-            )
-            out_frames, frames = _frames_alloc((anim.n_frames, region.size, 3))
-            for f in range(anim.n_frames):
-                renderer.render_next()
-                frames[f] = renderer.framebuffer.gather(region)
-            stats = RayStats.merge(r.stats for r in renderer.reports)
-            sp.attrs["rays"] = stats.total
-            sp.attrs["n_computed"] = sum(r.n_computed for r in renderer.reports)
-    frames = None
-    _seal_frames(out_frames)
-    return box, region, out_frames, stats.counts, _finish_worker_events(tel, sink)
-
-
-def _render_sequence_task(args):
-    """Sequence-division worker: render whole frames for one range."""
-    spec, start, stop, grid_resolution, samples, tel_ctx, profile_dir = args
-    anim = _get_anim(spec)
-    tel, sink = _worker_telemetry(tel_ctx)
-    _idx, attempt = task_context()
-    cam = anim.camera_at(start)
-    with profile_into(_worker_profile_path(profile_dir)):
-        with tel.span(
-            "task",
-            worker=_ctx_worker(tel_ctx),
-            mode="sequence",
-            frame0=int(start),
-            frame1=int(stop),
-            region=int(cam.n_pixels),
-            rays=0,
-            n_computed=0,
-            attempt=attempt,
-        ) as sp:
-            renderer = CoherentRenderer(
-                anim,
-                grid_resolution=grid_resolution,
-                samples_per_axis=samples,
-                first_frame=start,
-                last_frame=stop,
-                telemetry=tel,
-            )
-            out_frames, frames = _frames_alloc((stop - start, cam.height, cam.width, 3))
-            for i in range(stop - start):
-                renderer.render_next()
-                frames[i] = renderer.frame_image()
-            stats = RayStats.merge(r.stats for r in renderer.reports)
-            sp.attrs["rays"] = stats.total
-            sp.attrs["n_computed"] = sum(r.n_computed for r in renderer.reports)
-    frames = None
-    _seal_frames(out_frames)
-    return start, stop, out_frames, stats.counts, _finish_worker_events(tel, sink)
-
-
-def _render_hybrid_task(args):
-    """Hybrid worker: one block over one frame chunk (subarea x subsequence)."""
-    spec, box, start, stop, grid_resolution, samples, tel_ctx, profile_dir = args
-    anim = _get_anim(spec)
-    region = PixelRegion(*box, width=anim.camera_at(0).width).pixels
-    tel, sink = _worker_telemetry(tel_ctx)
-    _idx, attempt = task_context()
-    with profile_into(_worker_profile_path(profile_dir)):
-        with tel.span(
-            "task",
-            worker=_ctx_worker(tel_ctx),
-            mode="hybrid",
-            frame0=int(start),
-            frame1=int(stop),
-            region=int(region.size),
-            rays=0,
-            n_computed=0,
-            attempt=attempt,
-        ) as sp:
-            renderer = CoherentRenderer(
-                anim,
-                region=region,
-                grid_resolution=grid_resolution,
-                samples_per_axis=samples,
-                first_frame=start,
-                last_frame=stop,
-                telemetry=tel,
-            )
-            out_frames, frames = _frames_alloc((stop - start, region.size, 3))
-            for i in range(stop - start):
-                renderer.render_next()
-                frames[i] = renderer.framebuffer.gather(region)
-            stats = RayStats.merge(r.stats for r in renderer.reports)
-            sp.attrs["rays"] = stats.total
-            sp.attrs["n_computed"] = sum(r.n_computed for r in renderer.reports)
-    frames = None
-    _seal_frames(out_frames)
-    return box, region, start, stop, out_frames, stats.counts, _finish_worker_events(tel, sink)
-
-
-# Renderer-continuation cache for the dynamic schedules: an adaptive
-# chain's segments arrive as separate tasks, and on the thread/serial
-# executors (shared memory) the renderer that just finished frame f-1 is
+# Renderer-continuation cache: an adaptive chain's segments arrive as
+# separate tasks, and on the thread/serial executors (shared memory) and
+# TCP daemons the renderer that just finished frame f-1 is
 # parked here so the task rendering frame f continues it coherently
 # instead of starting fresh.  Keyed by (animation, region, quality) plus
 # the frame the renderer is positioned at; pop-on-acquire, so a failed
@@ -317,7 +209,7 @@ def _segment_cache_key(spec, box, grid_resolution, samples, frame) -> tuple:
 
 
 def _render_segment_task(args, emit_tile=None):
-    """Policy-scheduled worker: render frames ``[f0, f1)`` of one region.
+    """The farm's one worker task: render frames ``[f0, f1)`` of one region.
 
     ``fresh`` marks a chain start (full render of ``f0``); a non-fresh
     segment tries to continue the renderer parked at ``f0`` by the chain's
@@ -397,7 +289,11 @@ def _render_segment_task(args, emit_tile=None):
             stats = RayStats.merge(r.stats for r in reports)
             sp.attrs["rays"] = stats.total
             sp.attrs["n_computed"] = sum(r.n_computed for r in reports)
-    if f1 < anim.n_frames:
+    # Park the renderer for a continuation only if one is possible: a
+    # renderer positioned at a camera cut could never render frame f1.
+    if f1 < anim.n_frames and not CoherentRenderer.camera_moved(
+        anim.camera_at(f1 - 1), anim.camera_at(f1)
+    ):
         with _SEGMENT_CACHE_LOCK:
             _SEGMENT_CACHE[_segment_cache_key(spec, box, grid_resolution, samples, f1)] = renderer
             while len(_SEGMENT_CACHE) > _SEGMENT_CACHE_MAX:
@@ -407,16 +303,11 @@ def _render_segment_task(args, emit_tile=None):
     return box, f0, f1, out_frames, stats.counts, _finish_worker_events(tel, sink)
 
 
-_TASK_FNS = {
-    "frame": _render_block_task,
-    "sequence": _render_sequence_task,
-    "hybrid": _render_hybrid_task,
-}
-
 _MANIFEST_NAME = "manifest.json"
-# Format 2 appended the serialized worker-telemetry events to every task
-# result tuple; old spools fail the manifest check and re-render.
-_SPOOL_FORMAT = 2
+# Format 3 spools every unit as the segment result tuple
+# ``(box, frame0, frame1, frames, counts, events)``; the manifest check
+# refuses older spools.
+_SPOOL_FORMAT = 3
 
 
 def _spool_path(run_dir: Path, idx: int) -> Path:
@@ -425,8 +316,11 @@ def _spool_path(run_dir: Path, idx: int) -> Path:
 
 def _save_task_result(path: Path, result: tuple) -> None:
     """Spool one task result atomically (write-then-rename), so a render
-    killed mid-write never leaves a half-readable checkpoint behind."""
-    arrays = {f"f{i}": np.asarray(v) for i, v in enumerate(result)}
+    killed mid-write never leaves a half-readable checkpoint behind.
+
+    ``None`` fields are left out and load back as ``None``: as an object
+    array they would not load at all with pickling off."""
+    arrays = {f"f{i}": np.asarray(v) for i, v in enumerate(result) if v is not None}
     tmp = path.with_name(f".{path.name}.tmp.npz")
     np.savez_compressed(tmp, n=len(result), **arrays)
     os.replace(tmp, path)
@@ -434,11 +328,11 @@ def _save_task_result(path: Path, result: tuple) -> None:
 
 def _load_task_result(path: Path) -> tuple:
     with np.load(path) as z:
-        n = int(z["n"])
         out = []
-        for i in range(n):
-            a = z[f"f{i}"]
-            out.append(a.item() if a.ndim == 0 else a)
+        for i in range(int(z["n"])):
+            key = f"f{i}"
+            a = z[key] if key in z.files else None
+            out.append(a.item() if a is not None and a.ndim == 0 else a)
         return tuple(out)
 
 
@@ -456,6 +350,7 @@ class FarmResult:
     n_invalid: int = 0
     n_degraded: int = 0
     n_from_checkpoint: int = 0
+    # An attempt's task_index is its unit's index in the run's unit list.
     attempts: list[TaskAttempt] = field(default_factory=list)
     # TCP runs expose the master's wire accounting (NetStats): tile
     # counts, first-tile/first-result latency, per-message-type maxima.
@@ -477,7 +372,10 @@ class LocalRenderFarm:
     n_workers:
         Degree of parallelism; defaults to the CPU count (capped at 8).
     mode:
-        ``"frame"`` (block per task) or ``"sequence"`` (frame range per task).
+        How ``schedule="static"`` cuts the animation into units:
+        ``"frame"`` (one whole-run unit per block), ``"sequence"`` (one
+        frame range per worker) or ``"hybrid"`` (one unit per block x
+        frame chunk).
     executor:
         ``"process"``, ``"thread"`` or ``"serial"``.
     transport:
@@ -485,10 +383,10 @@ class LocalRenderFarm:
         ``"tcp"`` runs a loopback network farm instead — a
         :class:`~repro.net.master.MasterServer` on 127.0.0.1 driving
         ``n_workers`` spawned ``python -m repro.worker`` daemons over
-        real sockets.  TCP requires a dynamic schedule (the policy is
-        what the master serves); each connection is one scheduling lane,
-        so chain affinity keeps a daemon's continuation cache warm
-        exactly like the thread/serial executors do.
+        real sockets.  Every schedule runs on both; each connection is
+        one scheduling lane, so chain affinity keeps a daemon's
+        continuation cache warm exactly like the thread/serial executors
+        do.
     net_die_after:
         TCP fault drill: maps a worker index to the assignment count
         after which that daemon is spawned to hard-crash
@@ -503,12 +401,12 @@ class LocalRenderFarm:
         spawned daemons; worker-loss events point at the victim's
         ``blackbox_worker_<pid>.jsonl`` here (DESIGN §17).
     schedule:
-        ``"static"`` (the upfront task list above), ``"demand"``
-        (demand-driven block x frame-chunk units from a shared queue) or
-        ``"adaptive"`` (sequence chains with tail-stealing).  The dynamic
-        schedules run the :mod:`repro.sched` policies — the same state
-        machines the cluster simulator replays — through the supervisor's
-        feed hook.
+        ``"static"`` (the unit list ``mode`` fixes, handed out in order),
+        ``"demand"`` (block x frame-chunk units from a shared queue) or
+        ``"adaptive"`` (sequence chains with tail-stealing).  All three
+        run a :mod:`repro.sched` policy — the same state machines the
+        cluster simulator replays — through the transport; no unit spans
+        a camera cut.  Only ``"static"`` spools checkpoints.
     segment_frames:
         Frames per dispatched segment for ``schedule="adaptive"``.
         Default: 1 on the thread/serial executors (segments continue the
@@ -530,7 +428,8 @@ class LocalRenderFarm:
         raising :class:`~repro.runtime.supervisor.SupervisorError`.
     fault_plan:
         A :class:`~repro.runtime.faults.FaultPlan` for deterministic
-        crash/hang/raise/corrupt injection (tests and drills).
+        crash/hang/raise/corrupt injection (tests and drills), keyed by
+        dispatch order — on a fresh static run, the unit index.
     tile_px:
         Distributed-framebuffer tile edge for the TCP transport.  ``None``
         (default) enables tiling at the master's default edge; ``0``
@@ -590,11 +489,6 @@ class LocalRenderFarm:
             raise ValueError("schedule must be 'static', 'demand' or 'adaptive'")
         if transport not in ("process", "tcp"):
             raise ValueError("transport must be 'process' or 'tcp'")
-        if transport == "tcp" and schedule == "static":
-            raise ValueError(
-                "transport='tcp' requires a dynamic schedule ('demand' or 'adaptive'); "
-                "the network master serves a scheduling policy, not a fixed task list"
-            )
         self.spec = spec
         self.mode = mode
         self.executor = executor
@@ -628,12 +522,75 @@ class LocalRenderFarm:
         # Build once locally for geometry bookkeeping (cheap).
         self._anim = spec.build()
         self._cam = self._anim.camera_at(0)
+        self._regions = default_block_layout(
+            self._cam.width, self._cam.height, self.block_w, self.block_h
+        )
+        # How the run is cut into units: static by mode, demand by block
+        # x frame chunk (the hybrid cut), adaptive by sequence ranges
+        # (its initial chains).
+        self._cut = {"static": mode, "demand": "hybrid", "adaptive": "sequence"}[schedule]
+        self._label = mode if schedule == "static" else schedule
         self._run_span = None  # root span id, allocated by _begin_trace()
 
-    # -- task construction -----------------------------------------------------
-    def _block_layout(self):
-        return default_block_layout(
-            self._cam.width, self._cam.height, self.block_w, self.block_h
+    # -- units ---------------------------------------------------------------------
+    def _units(self) -> list[tuple[int, int, int]]:
+        """The run's ``(region_index, frame0, frame1)`` units, fixed before
+        it starts; region ``-1`` is the whole frame.
+
+        Every range is intersected with the animation's stationary-camera
+        runs, so no unit spans a camera cut, and the list is frame-major
+        (every region of one range before the next range), so early
+        frames complete early.
+        """
+        n = self._anim.n_frames
+        if self._cut == "sequence":
+            regions, ranges = [-1], sequence_ranges(n, self.n_workers)
+        else:
+            regions = range(len(self._regions))
+            chunk = n if self._cut == "frame" else (self.frames_per_chunk or max(1, n // 2))
+            ranges = [(a, min(a + chunk, n)) for a in range(0, n, chunk)]
+        shots = split_coherent_sequences(self._anim)
+        spans = [
+            (max(a, s0), min(b, s1))
+            for a, b in ranges
+            for s0, s1 in shots
+            if max(a, s0) < min(b, s1)
+        ]
+        return [(ri, a, b) for a, b in spans for ri in regions]
+
+    def _box_of(self, region_index: int):
+        if region_index < 0:
+            return None
+        r = self._regions[region_index]
+        return (r.x0, r.y0, r.x1, r.y1)
+
+    def _sched_policy(self, units):
+        """The policy that hands ``units`` out: a FIFO queue for static and
+        demand, chains with tail-stealing for adaptive."""
+        from ..sched.core import AdaptiveChainPolicy, Chain, DemandDrivenPolicy
+
+        per_frame = 1 if self._cut == "sequence" else len(self._regions)
+        if self.schedule != "adaptive":
+            return DemandDrivenPolicy(units, use_coherence=True, units_per_frame=per_frame)
+        # A pool process can receive any segment, so continuations there must
+        # render fresh; a TCP lane (like a thread/serial worker) is pinned to
+        # one daemon, whose continuation cache carries a chain's coherence
+        # across segments — so fine 1-frame segments stay cheap.
+        n_frames = self._anim.n_frames
+        pooled = self.transport == "process" and self.executor == "process"
+        if self.segment_frames is not None:
+            seg = max(1, int(self.segment_frames))
+        elif pooled:
+            seg = max(1, -(-n_frames // (4 * self.n_workers)))
+        else:
+            seg = 1
+        return AdaptiveChainPolicy(
+            [Chain(ri, a, b, fresh=True) for ri, a, b in units],
+            use_coherence=True,
+            units_per_frame=per_frame,
+            min_steal_frames=max(2, seg + 1),
+            segment_frames=seg,
+            continuation_fresh=pooled,
         )
 
     # -- trace identity ----------------------------------------------------------
@@ -642,8 +599,8 @@ class LocalRenderFarm:
 
         Every record the run emits — master-side and absorbed worker-side
         alike — carries the run id; worker spans parent (via per-dispatch
-        flight spans or directly) under the root span allocated here, so
-        the merged stream is one connected trace.
+        flight spans) under the root span allocated here, so the merged
+        stream is one connected trace.
         """
         tel = self.telemetry
         if tel.enabled and not tel.run_id:
@@ -659,140 +616,11 @@ class LocalRenderFarm:
                 span=self._run_span, parent=None, engine="farm",
             )
 
-    def _static_ctx(self):
-        """The telemetry slot shared by a static task list: one context
-        parenting every task span under the run root (the per-task span
-        namespace is disambiguated worker-side from the task index)."""
-        tel = self.telemetry
-        if not tel.enabled:
-            return False
-        return TraceContext(run=tel.run_id, parent=self._run_span).to_arg()
-
-    def _tasks(self):
-        tel_on = self._static_ctx()
-        prof = self.profile_dir
-        if self.mode == "frame":
-            return [
-                (
-                    self.spec,
-                    (r.x0, r.y0, r.x1, r.y1),
-                    self.grid_resolution,
-                    self.samples_per_axis,
-                    tel_on,
-                    prof,
-                )
-                for r in self._block_layout()
-            ]
-        if self.mode == "hybrid":
-            chunk = self.frames_per_chunk or max(1, self._anim.n_frames // 2)
-            chunks = [
-                (a, min(a + chunk, self._anim.n_frames))
-                for a in range(0, self._anim.n_frames, chunk)
-            ]
-            return [
-                (
-                    self.spec,
-                    (r.x0, r.y0, r.x1, r.y1),
-                    a,
-                    b,
-                    self.grid_resolution,
-                    self.samples_per_axis,
-                    tel_on,
-                    prof,
-                )
-                for r in self._block_layout()
-                for a, b in chunks
-            ]
-        ranges = sequence_ranges(self._anim.n_frames, self.n_workers)
-        return [
-            (self.spec, a, b, self.grid_resolution, self.samples_per_axis, tel_on, prof)
-            for a, b in ranges
-        ]
-
-    def _sched_policy(self):
-        """Build the scheduling policy (and its region table) for this run."""
-        from ..sched.core import AdaptiveChainPolicy, Chain, DemandDrivenPolicy
-
-        n_frames = self._anim.n_frames
-        if self.schedule == "demand":
-            regions = self._block_layout()
-            chunk = self.frames_per_chunk or max(1, n_frames // 2)
-            chunks = [(a, min(a + chunk, n_frames)) for a in range(0, n_frames, chunk)]
-            units = [(ri, a, b) for ri in range(len(regions)) for a, b in chunks]
-            policy = DemandDrivenPolicy(
-                units, use_coherence=True, units_per_frame=len(regions)
-            )
-            return policy, regions
-        # adaptive: whole-frame chains over pre-split ranges, tail-stealing on.
-        # A pool process can receive any segment, so continuations there must
-        # render fresh; a TCP lane (like a thread/serial worker) is pinned to
-        # one daemon, whose continuation cache carries a chain's coherence
-        # across segments — so fine 1-frame segments stay cheap.
-        pooled = self.transport == "process" and self.executor == "process"
-        if self.segment_frames is not None:
-            seg = max(1, int(self.segment_frames))
-        elif pooled:
-            seg = max(1, -(-n_frames // (4 * self.n_workers)))
-        else:
-            seg = 1
-        chains = [
-            Chain(-1, a, b, fresh=True)
-            for a, b in sequence_ranges(n_frames, self.n_workers)
-        ]
-        policy = AdaptiveChainPolicy(
-            chains,
-            use_coherence=True,
-            units_per_frame=1,
-            min_steal_frames=max(2, seg + 1),
-            segment_frames=seg,
-            continuation_fresh=pooled,
-        )
-        return policy, None
-
     # -- output validity ----------------------------------------------------------
-    def _make_validator(self):
-        """Shape/finiteness check applied before a task result is accepted
-        (or a spooled checkpoint trusted): a corrupted block must never
-        reach assembly."""
-        n_frames = self._anim.n_frames
-        height, width = self._cam.height, self._cam.width
-        n_kinds = len(RayKind)
-        mode = self.mode
-
-        def counts_ok(counts) -> bool:
-            c = np.asarray(counts)
-            return c.shape == (n_kinds,) and c.dtype.kind in "iu"
-
-        def validate(task, result) -> bool:
-            if not isinstance(result, tuple):
-                return False
-            if mode == "frame":
-                if len(result) != 5:
-                    return False
-                _box, region, frames, counts, events = result
-                expected = (n_frames, np.asarray(region).size, 3)
-            elif mode == "sequence":
-                if len(result) != 5:
-                    return False
-                start, stop, frames, counts, events = result
-                expected = (int(stop) - int(start), height, width, 3)
-            else:
-                if len(result) != 7:
-                    return False
-                _box, region, start, stop, frames, counts, events = result
-                expected = (int(stop) - int(start), np.asarray(region).size, 3)
-            frames = np.asarray(frames)
-            return (
-                frames.shape == expected
-                and bool(np.isfinite(frames).all())
-                and counts_ok(counts)
-                and isinstance(events, str)
-            )
-
-        return validate
-
     def _make_sched_validator(self, assembler=None):
-        """Same corruption gate for the policy-scheduled segment results."""
+        """Shape/finiteness check applied before a segment result is
+        accepted (or a spooled checkpoint trusted): a corrupted block must
+        never reach assembly."""
         height, width = self._cam.height, self._cam.width
         n_kinds = len(RayKind)
 
@@ -829,23 +657,23 @@ class LocalRenderFarm:
         return validate
 
     # -- progress callbacks --------------------------------------------------------
-    def _fire_synthetic_events(self, frames: np.ndarray) -> None:
-        """Honor the streaming callback contract on paths that don't
-        stream: one whole-frame tile plus a frame event per frame, in
-        frame order, after assembly."""
+    def _fire_synthetic_events(self, frames) -> None:
+        """Honor the streaming callback contract for frames that did not
+        stream — ``(index, image)`` pairs, in frame order: one whole-frame
+        tile plus a frame event per frame."""
         if self.on_tile is None and self.on_frame is None:
             return
         from ..dfb import FrameEvent, TileEvent
 
-        h, w = int(frames.shape[1]), int(frames.shape[2])
-        for f in range(frames.shape[0]):
+        h, w = self._cam.height, self._cam.width
+        for f, image in frames:
             if self.on_tile is not None:
                 self.on_tile(TileEvent(
                     frame=f, x0=0, y0=0, x1=w, y1=h,
-                    pixels=frames[f], frame_complete=True,
+                    pixels=image, frame_complete=True,
                 ))
             if self.on_frame is not None:
-                self.on_frame(FrameEvent(f, frames[f]))
+                self.on_frame(FrameEvent(f, image))
 
     # -- checkpoint spool ----------------------------------------------------------
     def _manifest(self, n_tasks: int) -> dict:
@@ -862,24 +690,39 @@ class LocalRenderFarm:
             "n_tasks": int(n_tasks),
         }
 
-    def _load_spooled(self, run_dir: Path, tasks: list, validate) -> dict:
-        """Recover finished tasks from a previous (interrupted) run.
+    def _open_spool(self, run_path: Path, units: list, validate) -> dict[int, tuple]:
+        """Write the run directory's manifest, or check it and recover the
+        units a previous (interrupted) run finished.
 
-        Unreadable or invalid spool files are treated as not-completed —
-        the task simply re-renders, so a truncated write costs one task,
-        never the run."""
-        completed: dict[int, tuple] = {}
-        for idx in range(len(tasks)):
-            path = _spool_path(run_dir, idx)
+        Unreadable or invalid spool files count as unfinished — the unit
+        simply re-renders, so a truncated write costs one unit, never the
+        run."""
+        run_path.mkdir(parents=True, exist_ok=True)
+        manifest = self._manifest(len(units))
+        manifest_path = run_path / _MANIFEST_NAME
+        if not manifest_path.exists():
+            tmp = manifest_path.with_suffix(".json.tmp")
+            tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+            os.replace(tmp, manifest_path)
+            return {}
+        if json.loads(manifest_path.read_text()) != manifest:
+            raise ValueError(
+                f"run directory {run_path} belongs to a different render "
+                "(manifest mismatch); refusing to mix checkpoints"
+            )
+        spooled: dict[int, tuple] = {}
+        for idx, (ri, f0, f1) in enumerate(units):
+            path = _spool_path(run_path, idx)
             if not path.exists():
                 continue
             try:
-                result = _load_task_result(path)
+                _box, r0, r1, *rest = _load_task_result(path)
+                result = (self._box_of(ri), int(r0), int(r1), *rest)
             except Exception:
                 continue
-            if validate(tasks[idx], result):
-                completed[idx] = result
-        return completed
+            if result[1:3] == (f0, f1) and validate(None, result):
+                spooled[idx] = result
+        return spooled
 
     # -- entry point -------------------------------------------------------------
     def render(
@@ -887,145 +730,24 @@ class LocalRenderFarm:
     ) -> FarmResult:
         """Render all frames; assemble and return them with merged stats.
 
-        ``run_dir`` spools each completed task to that directory;
-        ``resume`` points at such a directory and skips the tasks it
+        ``run_dir`` spools each completed unit to that directory;
+        ``resume`` points at such a directory and skips the units it
         already holds (implies spooling new completions there too).
+        Spooling needs ``schedule="static"`` and works on both transports.
         """
-        if self.schedule != "static":
-            if run_dir is not None or resume is not None:
-                raise ValueError(
-                    "checkpoint spooling (run_dir/resume) requires schedule='static'; "
-                    "dynamic schedules decide the task list at run time"
-                )
-            return self._render_scheduled()
         if resume is not None:
             if run_dir is not None and Path(run_dir) != Path(resume):
                 raise ValueError("pass either run_dir or resume, not two different dirs")
             run_dir = resume
+        if run_dir is not None and self.schedule != "static":
+            raise ValueError(
+                "checkpoint spooling (run_dir/resume) requires schedule='static', "
+                "whose unit list the mode alone fixes"
+            )
         run_path = Path(run_dir) if run_dir is not None else None
 
-        anim = self._anim
-        cam = self._cam
-        tel = self.telemetry
-        t_run0 = self._begin_trace()
-        tasks = self._tasks()
-        validate = self._make_validator()
-        if self.profile_dir:
-            Path(self.profile_dir).mkdir(parents=True, exist_ok=True)
-
-        tel.event(
-            "run.start",
-            engine="farm",
-            workload=self.spec.factory,
-            n_frames=int(anim.n_frames),
-            width=int(cam.width),
-            height=int(cam.height),
-            n_workers=self.n_workers,
-            mode=self.mode,
-        )
-
-        completed: dict[int, tuple] = {}
-        on_result = None
-        if run_path is not None:
-            run_path.mkdir(parents=True, exist_ok=True)
-            manifest = self._manifest(len(tasks))
-            manifest_path = run_path / _MANIFEST_NAME
-            if manifest_path.exists():
-                existing = json.loads(manifest_path.read_text())
-                if existing != manifest:
-                    raise ValueError(
-                        f"run directory {run_path} belongs to a different render "
-                        "(manifest mismatch); refusing to mix checkpoints"
-                    )
-                completed = self._load_spooled(run_path, tasks, validate)
-                for idx in sorted(completed):
-                    tel.event("checkpoint", task=idx, action="loaded")
-            else:
-                tmp = manifest_path.with_suffix(".json.tmp")
-                tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True))
-                os.replace(tmp, manifest_path)
-
-            def on_result(idx: int, result: tuple) -> None:
-                _save_task_result(_spool_path(run_path, idx), result)
-                tel.event("checkpoint", task=idx, action="saved")
-
-        # Process pools get a shared-memory frame store: workers render
-        # into segments and return FrameRef handles, so no pixels are
-        # pickled back across the fork boundary.  The master (here)
-        # releases every ref after assembly and sweeps stragglers —
-        # segments of crashed attempts or discarded duplicates.
-        store = SharedFrameStore() if self.executor == "process" else None
-        supervisor = TaskSupervisor(
-            _TASK_FNS[self.mode],
-            tasks,
-            executor=self.executor,
-            n_workers=self.n_workers,
-            initializer=_worker_init,
-            initargs=(self.spec, store.token if store else None),
-            validate=validate,
-            max_attempts=self.max_attempts,
-            task_timeout=self.task_timeout,
-            timeout_factor=self.timeout_factor,
-            startup_timeout=self.startup_timeout,
-            backoff_base=self.backoff_base,
-            degrade_serial=self.degrade_serial,
-            fault_plan=self.fault_plan,
-            completed=completed,
-            on_result=on_result,
-        )
-        out = None
-        try:
-            out = supervisor.run()
-
-            frames = np.zeros((anim.n_frames, cam.height, cam.width, 3), dtype=np.float64)
-            if self.mode == "frame":
-                flat = frames.reshape(anim.n_frames, cam.n_pixels, 3)
-                for _box, region, block_frames, _counts, _ev in out.results:
-                    flat[:, np.asarray(region), :] = block_frames
-            elif self.mode == "hybrid":
-                flat = frames.reshape(anim.n_frames, cam.n_pixels, 3)
-                for _box, region, start, stop, chunk_frames, _counts, _ev in out.results:
-                    flat[int(start) : int(stop)][:, np.asarray(region), :] = chunk_frames
-            else:
-                for start, stop, seq_frames, _counts, _ev in out.results:
-                    frames[int(start) : int(stop)] = seq_frames
-            stats = RayStats.merge(res[-2] for res in out.results)
-        finally:
-            if store is not None:
-                release_refs(out.results if out is not None else ())
-                store.cleanup()
-        self._fire_synthetic_events(frames)
-
-        if tel.enabled:
-            self._emit_run_telemetry(out, stats, len(tasks))
-        self._end_trace(t_run0)
-
-        return FarmResult(
-            frames=frames,
-            stats=stats,
-            n_tasks=len(tasks),
-            mode=self.mode,
-            n_retries=out.n_retries,
-            n_timeouts=out.n_timeouts,
-            n_crashes=out.n_crashes,
-            n_invalid=out.n_invalid,
-            n_degraded=out.n_degraded,
-            n_from_checkpoint=out.n_from_checkpoint,
-            attempts=out.attempts,
-        )
-
-    def _render_scheduled(self) -> FarmResult:
-        """Render under a dynamic (policy-driven) schedule.
-
-        The policy decides every dispatch; the supervised pool executes
-        them via :class:`~repro.sched.process.ProcessTransport`, one
-        assignment in flight per lane.  No spooling: the task list does
-        not exist upfront, so checkpoints have nothing stable to key on.
-        """
-        from ..sched.process import ProcessTransport
-
         anim, cam, tel = self._anim, self._cam, self.telemetry
-        policy, regions = self._sched_policy()
+        units = self._units()
         # Distributed framebuffer: tiling is a TCP concern (the pool
         # shares memory); tile_px=0 opts a TCP run out explicitly.
         assembler = None
@@ -1033,12 +755,6 @@ class LocalRenderFarm:
             from ..dfb import FrameAssembler
 
             assembler = FrameAssembler(anim.n_frames, cam.width, cam.height)
-            if self.preview is not None:
-                self.preview.attach(
-                    assembler,
-                    workload=self.spec.factory,
-                    n_workers=int(self.n_workers),
-                )
         validate = self._make_sched_validator(assembler)
         if self.profile_dir:
             Path(self.profile_dir).mkdir(parents=True, exist_ok=True)
@@ -1052,11 +768,123 @@ class LocalRenderFarm:
             width=int(cam.width),
             height=int(cam.height),
             n_workers=self.n_workers,
-            mode=self.schedule,
+            mode=self._label,
         )
 
+        spooled = self._open_spool(run_path, units, validate) if run_path else {}
+        for idx in sorted(spooled):
+            tel.event("checkpoint", task=idx, action="loaded")
+        if assembler is not None and spooled:
+            for box, f0, f1, seg_frames, *_ in spooled.values():
+                assembler.add_segment(box, f0, f1, seg_frames)
+            # Frames the spool alone completes will never stream a tile.
+            self._fire_synthetic_events(
+                (f, assembler.frame_image(f)) for f in range(anim.n_frames)
+                if assembler.range_complete(None, f, f + 1)
+            )
+        # Every frame of every unit -> that unit's index: an assignment
+        # narrowed by salvage or cut by a steal still counts toward it.
+        owner = {(ri, f): i for i, (ri, f0, f1) in enumerate(units) for f in range(f0, f1)}
+
+        on_result = None
+        if run_path is not None:
+
+            def on_result(a, result) -> None:
+                idx = owner[(a.region_index, a.frame0)]
+                ri, f0, f1 = units[idx]
+                if result[3] is None or (a.frame0, a.frame1) != (f0, f1):
+                    # Streamed, or the tail of a unit salvaged from a lost
+                    # worker: the whole unit is read back from the compositor.
+                    box = self._box_of(ri)
+                    if not assembler.range_complete(box, f0, f1):
+                        return
+                    seg = assembler.segment(box, f0, f1)
+                    if box is not None:
+                        seg = seg.reshape(f1 - f0, -1, 3)
+                    result = (box, f0, f1, seg, *result[4:])
+                _save_task_result(_spool_path(run_path, idx), result)
+                tel.event("checkpoint", task=idx, action="saved")
+
+        todo = [u for i, u in enumerate(units) if i not in spooled]
+        if todo:
+            if self.preview is not None and assembler is not None:
+                self.preview.attach(
+                    assembler, workload=self.spec.factory, n_workers=int(self.n_workers)
+                )
+            try:
+                out = self._transport(
+                    self._sched_policy(todo), assembler, validate, on_result
+                ).run()
+            finally:
+                if self.preview is not None and assembler is not None:
+                    self.preview.detach()
+        else:
+            from ..sched.process import SchedOutcome
+
+            out = SchedOutcome(results=[], assignments=[], supervisor=SupervisorOutcome([]))
+
+        results = [*spooled.values(), *out.results]
+        if assembler is not None:
+            # Every result — streamed tiles and whole sub-areas from
+            # non-tiling workers alike — was folded into the compositor
+            # as it arrived; taking the frames hands the per-frame
+            # composite buffers back to the pool.
+            frames = assembler.take_frames()
+        else:
+            frames = np.zeros(
+                (anim.n_frames, cam.height, cam.width, 3), dtype=np.float64
+            )
+            flat = frames.reshape(anim.n_frames, cam.n_pixels, 3)
+            for box, f0, f1, seg_frames, _counts, _ev in results:
+                f0, f1 = int(f0), int(f1)
+                if box is None:
+                    frames[f0:f1] = seg_frames
+                else:
+                    region = PixelRegion(*box, width=cam.width).pixels
+                    flat[f0:f1][:, region, :] = seg_frames
+            release_refs(out.results)
+            self._fire_synthetic_events(enumerate(frames))
+        stats = RayStats.merge(res[-2] for res in results)
+
+        sup = out.supervisor
+        unit_of_seq = {a.seq: owner[(a.region_index, a.frame0)] for a in out.assignments}
+        attempts = [replace(t, task_index=unit_of_seq[t.task_index]) for t in sup.attempts]
+        n_tasks = len(spooled) + len(out.assignments)
+        if tel.enabled:
+            # The TCP master already absorbed worker event buffers live
+            # (with clock-offset correction); re-emitting them here would
+            # duplicate every span in the stream.
+            self._emit_run_telemetry(
+                results, attempts, sup.wall_time, stats, n_tasks,
+                absorb_events=self.transport != "tcp",
+            )
+        self._end_trace(t_run0)
+        return FarmResult(
+            frames=frames,
+            stats=stats,
+            n_tasks=n_tasks,
+            mode=self._label,
+            n_retries=sup.n_retries,
+            n_timeouts=sup.n_timeouts,
+            n_crashes=sup.n_crashes,
+            n_invalid=sup.n_invalid,
+            n_degraded=sup.n_degraded,
+            n_from_checkpoint=len(spooled),
+            attempts=attempts,
+            net=out.net,
+            streamed=assembler is not None,
+        )
+
+    def _transport(self, policy, assembler, validate, on_result):
+        """The run's transport: the supervised pool, or the loopback TCP
+        farm.  Both dispatch ``policy``'s assignments to
+        :func:`_render_segment_task` and call ``on_result(assignment,
+        result)`` on every accepted result."""
+        from ..sched.process import ProcessTransport
+
+        tel = self.telemetry
         spec, grid, samples = self.spec, self.grid_resolution, self.samples_per_axis
-        prof, label = self.profile_dir, self.schedule
+        prof, label = self.profile_dir, self._label
         run_id, run_span, enabled = tel.run_id, self._run_span, tel.enabled
 
         def ctx_of(a, lane):
@@ -1072,11 +900,19 @@ class LocalRenderFarm:
             ).to_arg()
 
         def box_of(a):
-            if regions is not None and a.region_index >= 0:
-                r = regions[a.region_index]
-                return (r.x0, r.y0, r.x1, r.y1)
-            return None
+            return self._box_of(a.region_index)
 
+        common = dict(
+            n_workers=self.n_workers,
+            telemetry=tel,
+            trace_root=run_span,
+            validate=validate,
+            on_result=on_result,
+            max_attempts=self.max_attempts,
+            task_timeout=self.task_timeout,
+            timeout_factor=self.timeout_factor,
+            startup_timeout=self.startup_timeout,
+        )
         if self.transport == "tcp":
             from ..net.master import TcpTransport
             from ..net.tasks import spec_to_wire
@@ -1106,112 +942,46 @@ class LocalRenderFarm:
                             FrameEvent(frame, assembler.frame_image(frame))
                         )
 
-            transport = TcpTransport(
+            return TcpTransport(
                 policy,
                 "render_segment",
                 materialize,
-                n_workers=self.n_workers,
                 die_after=self.net_die_after,
                 die_after_frames=self.net_die_after_frames,
                 blackbox_dir=self.blackbox_dir,
-                telemetry=tel,
-                trace_root=run_span,
-                validate=validate,
-                max_attempts=self.max_attempts,
-                task_timeout=self.task_timeout,
-                timeout_factor=self.timeout_factor,
-                startup_timeout=self.startup_timeout,
                 assembler=assembler,
                 tile_px=self.tile_px,
                 tile_box=box_of,
                 on_tile=master_on_tile,
+                **common,
             )
-        else:
 
-            def materialize(a, lane):
-                return (spec, box_of(a), int(a.frame0), int(a.frame1), bool(a.fresh),
-                        label, grid, samples, ctx_of(a, lane), prof)
+        def materialize(a, lane):
+            return (spec, box_of(a), int(a.frame0), int(a.frame1), bool(a.fresh),
+                    label, grid, samples, ctx_of(a, lane), prof)
 
-            # Same shared-memory contract as the static path: pool workers
-            # park pixels in segments, only FrameRef handles ride back.
-            store = SharedFrameStore() if self.executor == "process" else None
-            transport = ProcessTransport(
-                policy,
-                _render_segment_task,
-                materialize,
-                n_workers=self.n_workers,
-                telemetry=tel,
-                trace_root=run_span,
-                frame_store=store,
-                executor=self.executor,
-                initializer=_worker_init,
-                initargs=(self.spec, store.token if store else None),
-                validate=validate,
-                max_attempts=self.max_attempts,
-                task_timeout=self.task_timeout,
-                timeout_factor=self.timeout_factor,
-                startup_timeout=self.startup_timeout,
-                backoff_base=self.backoff_base,
-                degrade_serial=self.degrade_serial,
-                fault_plan=self.fault_plan,
-            )
-        try:
-            out = transport.run()
-        finally:
-            if self.preview is not None and assembler is not None:
-                self.preview.detach()
-
-        if assembler is not None:
-            # Every result — streamed tiles and whole sub-areas from
-            # non-tiling workers alike — was folded into the compositor
-            # as it arrived; taking the frames hands the per-frame
-            # composite buffers back to the pool.
-            frames = assembler.take_frames()
-        else:
-            frames = np.zeros(
-                (anim.n_frames, cam.height, cam.width, 3), dtype=np.float64
-            )
-            flat = frames.reshape(anim.n_frames, cam.n_pixels, 3)
-            for box, f0, f1, seg_frames, _counts, _ev in out.results:
-                f0, f1 = int(f0), int(f1)
-                if box is None:
-                    frames[f0:f1] = seg_frames
-                else:
-                    region = PixelRegion(*box, width=cam.width).pixels
-                    flat[f0:f1][:, region, :] = seg_frames
-            release_refs(out.results)
-        stats = RayStats.merge(res[-2] for res in out.results)
-        if assembler is None:
-            self._fire_synthetic_events(frames)
-
-        sup = out.supervisor
-        if tel.enabled:
-            # The TCP master already absorbed worker event buffers live
-            # (with clock-offset correction); re-emitting them here would
-            # duplicate every span in the stream.
-            self._emit_run_telemetry(
-                sup, stats, len(out.assignments),
-                absorb_events=self.transport != "tcp",
-            )
-        self._end_trace(t_run0)
-        return FarmResult(
-            frames=frames,
-            stats=stats,
-            n_tasks=len(out.assignments),
-            mode=self.schedule,
-            n_retries=sup.n_retries,
-            n_timeouts=sup.n_timeouts,
-            n_crashes=sup.n_crashes,
-            n_invalid=sup.n_invalid,
-            n_degraded=sup.n_degraded,
-            n_from_checkpoint=0,
-            attempts=sup.attempts,
-            net=getattr(transport, "master", None) and transport.master.net,
-            streamed=assembler is not None,
+        # Process pools get a shared-memory frame store: workers render
+        # into segments and return FrameRef handles, so no pixels are
+        # pickled back across the fork boundary.  The transport sweeps
+        # stragglers at run end; render() releases the refs it assembled.
+        store = SharedFrameStore() if self.executor == "process" else None
+        return ProcessTransport(
+            policy,
+            _render_segment_task,
+            materialize,
+            frame_store=store,
+            executor=self.executor,
+            initializer=_worker_init,
+            initargs=(self.spec, store.token if store else None),
+            backoff_base=self.backoff_base,
+            degrade_serial=self.degrade_serial,
+            fault_plan=self.fault_plan,
+            **common,
         )
 
     def _emit_run_telemetry(
-        self, out, stats: RayStats, n_tasks: int, absorb_events: bool = True
+        self, results, attempts, wall: float, stats: RayStats, n_tasks: int,
+        absorb_events: bool = True,
     ) -> None:
         """Absorb worker event buffers and emit the run-level events
         (task.attempt / recovery timeline, per-worker utilization,
@@ -1224,7 +994,7 @@ class LocalRenderFarm:
         tel = self.telemetry
         worker_busy: dict[str, list] = {}  # worker -> [busy_seconds, n_tasks]
         computed = copied = 0
-        for res in out.results:
+        for res in results:
             payload = res[-1]
             if not payload:
                 continue
@@ -1245,7 +1015,7 @@ class LocalRenderFarm:
                     computed += int(attrs.get("n_computed", 0))
                     copied += int(attrs.get("n_copied", 0))
 
-        for a in out.attempts:
+        for a in attempts:
             tel.event(
                 "task.attempt",
                 task=a.task_index,
@@ -1268,7 +1038,6 @@ class LocalRenderFarm:
                     worker="?",
                 )
 
-        wall = out.wall_time
         for w in sorted(worker_busy):
             busy, n = worker_busy[w]
             tel.event(
@@ -1295,17 +1064,21 @@ class LocalRenderFarm:
         )
 
     def render_reference(self) -> FarmResult:
-        """Single coherent renderer over the whole animation (ground truth)."""
+        """Single-renderer ground truth: one coherent renderer per
+        stationary-camera run of the animation."""
         anim = self._anim
         cam = self._cam
-        renderer = CoherentRenderer(
-            anim,
-            grid=grid_for_animation(anim, self.grid_resolution),
-            samples_per_axis=self.samples_per_axis,
-        )
+        grid = grid_for_animation(anim, self.grid_resolution)
         frames = np.empty((anim.n_frames, cam.height, cam.width, 3), dtype=np.float64)
-        for f in range(anim.n_frames):
-            renderer.render_next()
-            frames[f] = renderer.frame_image()
-        stats = RayStats.merge(r.stats for r in renderer.reports)
+        reports = []
+        for f0, f1 in split_coherent_sequences(anim):
+            renderer = CoherentRenderer(
+                anim, grid=grid, samples_per_axis=self.samples_per_axis,
+                first_frame=f0, last_frame=f1,
+            )
+            for f in range(f0, f1):
+                renderer.render_next()
+                frames[f] = renderer.frame_image()
+            reports += renderer.reports
+        stats = RayStats.merge(r.stats for r in reports)
         return FarmResult(frames=frames, stats=stats, n_tasks=1, mode="reference")

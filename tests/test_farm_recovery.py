@@ -86,13 +86,18 @@ def test_retry_exhaustion_degrades_to_serial(spec, reference):
 
 def test_all_workers_dead_error_path(spec):
     """Unrecoverable pool loss surfaces as SupervisorError, not a hang."""
-    from repro.runtime.local import _TASK_FNS, _worker_init
+    from repro.runtime.local import _render_segment_task, _worker_init
     from repro.runtime.supervisor import TaskSupervisor
 
+    farm = _farm(spec, n_workers=2)
+    tasks = [
+        (spec, farm._box_of(ri), f0, f1, True, "frame", GRID, 1, False, None)
+        for ri, f0, f1 in farm._units()
+    ]
     plan = FaultPlan((FaultPlan.crash(0, attempts=tuple(range(8))),))
     sup = TaskSupervisor(
-        _TASK_FNS["frame"],
-        _farm(spec, n_workers=2)._tasks(),
+        _render_segment_task,
+        tasks,
         executor="process",
         n_workers=2,
         initializer=_worker_init,

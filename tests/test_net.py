@@ -393,9 +393,71 @@ def test_tcp_farm_survives_worker_kill_bit_identically(tcp_spec, serial_referenc
     assert "net.worker.lost" in names and "recovery" in names
 
 
-def test_tcp_requires_dynamic_schedule(tcp_spec):
-    with pytest.raises(ValueError, match="dynamic schedule"):
-        LocalRenderFarm(tcp_spec, transport="tcp", schedule="static")
+@pytest.mark.parametrize("mode", ["frame", "sequence", "hybrid"])
+def test_tcp_static_schedule_matches_the_pool(tcp_spec, serial_reference, mode):
+    """The static unit list runs over TCP: the same units as on the pool,
+    so the same pixels; sequence division is bit-identical to the serial
+    reference.  (Block units can differ from it in the last ulp — tracer
+    reduction order — so frame and hybrid compare against the farm's own
+    static run on the serial executor.)"""
+    kw = dict(n_workers=2, mode=mode, grid_resolution=12)
+    out = LocalRenderFarm(tcp_spec, transport="tcp", **kw).render()
+    local = LocalRenderFarm(tcp_spec, executor="serial", **kw).render()
+    assert out.mode == mode and out.streamed
+    assert out.n_tasks == local.n_tasks
+    assert out.frames.tobytes() == local.frames.tobytes()
+    assert out.stats.total == local.stats.total
+    if mode == "sequence":
+        assert out.frames.tobytes() == serial_reference.frames.tobytes()
+
+
+def test_tcp_resume_re_renders_only_missing_units(tcp_spec, tmp_path):
+    """Checkpoint/resume over TCP: streamed units are read back from the
+    compositor into the spool, and on resume the spooled ranges are fed
+    back into it — only the deleted units go over the wire again."""
+    run_dir = tmp_path / "run"
+    kw = dict(n_workers=2, transport="tcp", grid_resolution=12)
+    first = LocalRenderFarm(tcp_spec, **kw).render(run_dir=run_dir)
+    spool = sorted(run_dir.glob("task_*.npz"))
+    assert len(spool) == first.n_tasks == 12
+    for victim in (spool[2], spool[7]):
+        victim.unlink()
+    res = LocalRenderFarm(tcp_spec, **kw).render(resume=run_dir)
+    assert res.n_from_checkpoint == 10
+    assert {a.task_index for a in res.attempts} == {2, 7}
+    assert res.frames.tobytes() == first.frames.tobytes()
+    assert len(list(run_dir.glob("task_*.npz"))) == 12
+    # Fully spooled: nothing is dispatched, yet every frame is reported.
+    seen = []
+    again = LocalRenderFarm(tcp_spec, on_frame=seen.append, **kw).render(resume=run_dir)
+    assert again.attempts == [] and again.n_from_checkpoint == 12
+    assert [e.frame for e in seen] == list(range(tcp_spec.build().n_frames))
+    assert again.frames.tobytes() == first.frames.tobytes()
+
+
+@pytest.mark.parametrize(
+    "transport,schedule", [("process", "static"), ("tcp", "demand")]
+)
+def test_orbit_units_never_span_a_camera_cut(transport, schedule):
+    """The orbit camera moves every frame: every unit is one frame long,
+    so no worker trips over a camera cut — no recovery at all, every ray
+    accounted, pixels bit-identical to the serial engine."""
+    from repro.api import render
+
+    spec = AnimationSpec(
+        "repro.scenes.orbit:orbit_animation", {"n_frames": 4, "width": 24, "height": 18}
+    )
+    serial = render(workload=spec, engine="animation", grid_resolution=12)
+    farm = LocalRenderFarm(
+        spec, n_workers=2, transport=transport, schedule=schedule, grid_resolution=12
+    )
+    out = farm.render()
+    assert out.frames.tobytes() == np.asarray(serial.frames).tobytes()
+    # The farm's own self-check reference splits at the cuts too.
+    assert farm.render_reference().frames.tobytes() == out.frames.tobytes()
+    assert (out.n_retries, out.n_timeouts, out.n_crashes, out.n_invalid,
+            out.n_degraded) == (0, 0, 0, 0, 0)
+    assert out.stats.total == serial.stats.total
 
 
 def test_tcp_farm_streams_tiles_with_telemetry(tcp_spec, serial_reference):

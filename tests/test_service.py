@@ -226,6 +226,23 @@ def test_service_renders_submitted_job_over_rpc(tmp_path):
     assert {"job.submit", "job.state", "job.attempt"} <= names
 
 
+def test_service_job_on_the_tcp_farm(tmp_path):
+    """A service configured for the network farm completes a job through
+    the same static, spooling schedule."""
+    svc = make_service(tmp_path / "svc", transport="tcp")
+    try:
+        svc.submit(SPEC)
+        done = svc.step()
+    finally:
+        svc.stop()
+    assert done.state == "done"
+    assert done.n_tasks > 0 and len(done.tasks_done) == done.n_tasks
+    job_dir = tmp_path / "svc" / "jobs" / "j0001"
+    assert len(list((job_dir / "spool").glob("task_*.npz"))) == done.n_tasks
+    with np.load(job_dir / "frames.npz") as npz:
+        assert npz["frames"].shape[0] == SPEC["n_frames"]
+
+
 def test_service_control_errors(tmp_path):
     svc = make_service(tmp_path / "svc")
     host, port = svc.start()
