@@ -4,7 +4,7 @@ The paper coordinates its workstations with PVM 3.1 ("message-passing
 systems, such as PVM and MPI, are robust, easy to use, and available
 without cost").  This module reproduces the programming model: tasks are
 sequential programs that compute, ``send`` and ``recv``; the master/slave
-renderers in :mod:`repro.parallel` are written against it exactly as the
+programs in :mod:`repro.sched.sim` are written against it exactly as the
 C originals were written against ``pvm_send``/``pvm_recv``.
 
 Tasks are Python generators.  They *yield* requests and are resumed with
@@ -24,7 +24,8 @@ Virtual-time semantics:
   ``units * sec_per_unit / machine.speed * thrash`` seconds; tasks sharing
   a machine serialize.
 * ``Send`` occupies the shared Ethernet; the sender blocks until the
-  message leaves the wire (a synchronous ``pvm_send`` on 10BASE-T).
+  message leaves the wire (a synchronous ``pvm_send`` on 10BASE-T).  A
+  tuple of destinations is one transfer (``pvm_mcast``).
 * ``Recv`` blocks until a matching message is in the task's mailbox.
 * ``WriteFile(nbytes)`` occupies the machine's disk.
 """
@@ -63,9 +64,13 @@ class Compute:
 
 @dataclass(frozen=True)
 class Send:
-    """Transmit ``payload`` (modelled size ``nbytes``) to task ``dst``."""
+    """Transmit ``payload`` (modelled size ``nbytes``) to task ``dst``.
 
-    dst: int
+    A tuple of tids multicasts (``pvm_mcast``): one transfer on the shared
+    segment, delivered to every destination.
+    """
+
+    dst: int | tuple[int, ...]
     nbytes: int
     payload: Any = None
     tag: str = ""
@@ -128,6 +133,7 @@ class TaskContext:
     compute_seconds: float = 0.0
     units_computed: float = 0.0
     wait_seq: int = 0  # invalidates stale Recv timeouts
+    finished_at: float = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<task {self.tid} {self.name!r} on {self.machine.name}>"
@@ -221,6 +227,7 @@ class VirtualPVM:
             req = gen.send(value)
         except StopIteration as stop:
             ctx.finished = True
+            ctx.finished_at = self.sim.now
             ctx.result = stop.value
             self._log("finish", ctx.name)
             return
@@ -240,13 +247,17 @@ class VirtualPVM:
             if self.tracing:
                 self.events.append(("compute", ctx.machine.name, ctx.name, start, end))
         elif isinstance(req, Send):
-            if req.dst not in self._tasks:
-                raise KeyError(f"send to unknown tid {req.dst}")
+            dsts = req.dst if isinstance(req.dst, tuple) else (req.dst,)
+            for dst in dsts:
+                if dst not in self._tasks:
+                    raise KeyError(f"send to unknown tid {dst}")
+            dst_names = ",".join(self._tasks[dst].name for dst in dsts)
             msg = Message(src=tid, tag=req.tag, payload=req.payload, nbytes=req.nbytes)
-            self._log("send", f"{ctx.name} -> {self._tasks[req.dst].name} {req.tag} {req.nbytes}B")
+            self._log("send", f"{ctx.name} -> {dst_names} {req.tag} {req.nbytes}B")
 
-            def delivered(msg=msg, dst=req.dst, sender=tid):
-                self._deliver(dst, msg)
+            def delivered(msg=msg, dsts=dsts, sender=tid):
+                for dst in dsts:
+                    self._deliver(dst, msg)
                 self._step(sender, None)
 
             if self.tracing:
@@ -256,7 +267,7 @@ class VirtualPVM:
                     (
                         "send",
                         ctx.name,
-                        self._tasks[req.dst].name,
+                        dst_names,
                         req.tag,
                         req.nbytes,
                         start,
@@ -332,7 +343,8 @@ class VirtualPVM:
         Every task placed on it dies permanently: in-flight computations
         never complete, queued messages to its tasks are dropped, and it
         never sends again.  This is the failure model a fault-tolerant
-        master (see :mod:`repro.parallel.fault_tolerance`) must survive.
+        master (the deadline sweep of :class:`repro.sched.SimTransport`)
+        must survive.
         """
         if machine_name not in self.machines:
             raise KeyError(f"unknown machine {machine_name!r}")
@@ -348,20 +360,24 @@ class VirtualPVM:
 
     # -- running ---------------------------------------------------------------
     def run(self) -> float:
-        """Run to completion; returns the final virtual time.
+        """Run to completion; returns the time the last live task finished.
+
+        Events left in the queue after the work is done — stale ``Recv``
+        timeout timers, crashes scheduled past the end — still drain, but
+        do not count toward the run's end time.
 
         Raises :class:`DeadlockError` if live tasks remain blocked when the
         event queue drains (a protocol bug in the master/worker programs).
         Dead tasks (crashed machines) are exempt.
         """
-        end = self.sim.run()
+        self.sim.run()
         stuck = [c for c in self._tasks.values() if not c.finished and not c.dead]
         if stuck:
             raise DeadlockError(
                 "simulation drained with blocked tasks: "
                 + ", ".join(f"{c.name}(waiting tag={c.waiting_tag!r})" for c in stuck)
             )
-        return end
+        return max((c.finished_at for c in self._tasks.values() if c.finished), default=0.0)
 
     def results(self) -> dict[str, Any]:
         """Task name -> returned value."""

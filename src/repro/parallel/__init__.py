@@ -13,10 +13,10 @@ from .partition import (
     strip_regions,
 )
 
-# strategies / fault_tolerance sit on top of repro.sched, which itself
-# builds on this package's config/oracle/partition layers; loading them
-# lazily keeps `import repro.parallel` (or any repro.sched entry point)
-# from chasing that loop back into a partially initialized module.
+# strategies sits on top of repro.sched, which itself builds on this
+# package's config/oracle/partition layers; loading it lazily keeps
+# `import repro.parallel` (or any repro.sched entry point) from chasing
+# that loop back into a partially initialized module.
 _LAZY = {
     "default_blocks": "strategies",
     "simulate_frame_division_fc": "strategies",
@@ -25,9 +25,9 @@ _LAZY = {
     "simulate_sequence_division_fc": "strategies",
     "simulate_sequence_division_nofc": "strategies",
     "simulate_single_processor": "strategies",
-    "default_worker_timeout": "fault_tolerance",
-    "simulate_frame_division_fc_fault_tolerant": "fault_tolerance",
-    "simulate_sequence_division_fc_fault_tolerant": "fault_tolerance",
+    "default_worker_timeout": "strategies",
+    "simulate_frame_division_fc_fault_tolerant": "strategies",
+    "simulate_sequence_division_fc_fault_tolerant": "strategies",
 }
 
 

@@ -43,6 +43,7 @@ class SimulationOutcome:
     n_messages: int = 0
     bytes_on_wire: int = 0
     n_chain_starts: int = 0
+    #: Adaptive events: tail steals plus chains requeued after a worker loss.
     n_steals: int = 0
     #: Text Gantt chart of the run (populated when the strategy was called
     #: with ``trace=True``); see repro.cluster.render_timeline.

@@ -18,7 +18,13 @@ Strategies:
 * :func:`simulate_frame_division_fc` — columns (8)/(9): 80x80 subareas for
   the whole sequence with per-block coherence, demand-driven + adaptive;
 * :func:`simulate_sequence_division_nofc`, :func:`simulate_hybrid_fc` —
-  ablations.
+  ablations;
+* :func:`simulate_frame_division_fc_fault_tolerant`,
+  :func:`simulate_sequence_division_fc_fault_tolerant` — beyond the
+  paper: the two coherence schemes under machine crashes.  Same policy
+  as their siblings, run with a worker deadline
+  (:func:`default_worker_timeout`): a worker silent past it is presumed
+  dead and its chain restarts fresh on a live worker.
 
 The master always runs on the first (fastest) machine and performs no
 compute, only scheduling and file output; a worker runs on *every* machine,
@@ -31,15 +37,8 @@ simulated schedule directly comparable to an executed one.
 from __future__ import annotations
 
 from ..cluster import Machine, ThrashModel
-from ..sched.core import Chain, make_policy, single_processor_policy
-from ..sched.sim import (
-    RunAccounting,
-    SimTelemetry,
-    SimTransport,
-    outcome_from,
-    spawn_farm,
-    worker_program,
-)
+from ..sched.core import SchedulingPolicy, make_policy, single_processor_policy
+from ..sched.sim import SimTransport
 from .config import RenderFarmConfig
 from .oracle import AnimationCostOracle
 from .outcome import SimulationOutcome
@@ -52,17 +51,11 @@ __all__ = [
     "simulate_sequence_division_fc",
     "simulate_frame_division_fc",
     "simulate_hybrid_fc",
+    "simulate_frame_division_fc_fault_tolerant",
+    "simulate_sequence_division_fc_fault_tolerant",
     "default_blocks",
+    "default_worker_timeout",
 ]
-
-# Back-compat aliases: fault_tolerance and external callers grew up on the
-# underscore names this module used before the plumbing moved to repro.sched.
-_Chain = Chain
-_SimTelemetry = SimTelemetry
-_RunAccounting = RunAccounting
-_spawn_farm = spawn_farm
-_worker_program = worker_program
-_outcome = outcome_from
 
 
 def default_blocks(oracle: AnimationCostOracle) -> list[PixelRegion]:
@@ -81,6 +74,37 @@ def effective_speed_weights(
     th = thrash if thrash is not None else ThrashModel(alpha=0.0)
     ws = cfg.fc_working_set_mb(oracle.n_pixels)
     return [m.speed / th.slowdown(ws, m.memory_mb) for m in machines]
+
+
+def default_worker_timeout(
+    oracle: AnimationCostOracle,
+    machines: list[Machine],
+    cfg: RenderFarmConfig,
+    sec_per_work_unit: float,
+    thrash: ThrashModel | None,
+    regions: list[PixelRegion] | None = None,
+) -> float:
+    """A deadline safely above the slowest legitimate task.
+
+    Worst case: a fresh chain start of the most expensive block (or the
+    whole frame when ``regions`` is None — sequence division) on the
+    slowest (and most memory-pressured) machine, tripled for scheduling
+    slack.  The real farm's supervisor (:mod:`repro.runtime.supervisor`)
+    applies the same factor to observed task durations.
+    """
+    th = thrash if thrash is not None else ThrashModel(alpha=0.0)
+    region_list = [(None, oracle.n_pixels)] if regions is None else [
+        (r.pixels, r.n_pixels) for r in regions
+    ]
+    worst_units = 0.0
+    for pixels, n_pixels in region_list:
+        for f in range(oracle.n_frames):
+            rays = oracle.full_rays(f, pixels)
+            units = cfg.task_units(rays, True, chain_start=True, region_pixels=n_pixels)
+            worst_units = max(worst_units, units)
+    worst_ws = cfg.fc_working_set_mb(max(n for _p, n in region_list))
+    worst_rate = min(m.speed / th.slowdown(worst_ws, m.memory_mb) for m in machines)
+    return 3.0 * worst_units * sec_per_work_unit / worst_rate + 1.0
 
 
 # -- Table 1 columns (1) and (2): single processor ------------------------------
@@ -164,16 +188,8 @@ def simulate_sequence_division_fc(
     processor" on a heterogeneous NOW.
     """
     cfg = cfg or RenderFarmConfig()
-    weights = effective_speed_weights(machines, cfg, oracle, thrash)
-    ranges = sequence_ranges(oracle.n_frames, len(machines), weights=weights)
-    policy = make_policy(
-        "sequence-division-fc",
-        oracle.n_frames,
-        sequence_ranges=ranges,
-        min_steal_frames=cfg.min_steal_frames,
-    )
     transport = SimTransport(
-        policy,
+        _sequence_fc_policy(oracle, machines, cfg, thrash),
         oracle,
         machines,
         cfg,
@@ -185,6 +201,22 @@ def simulate_sequence_division_fc(
         **ethernet_kwargs,
     )
     return transport.run()
+
+
+def _sequence_fc_policy(
+    oracle: AnimationCostOracle, machines: list[Machine], cfg: RenderFarmConfig,
+    thrash: ThrashModel | None,
+) -> SchedulingPolicy:
+    """Sequence division's chains: one range per machine, weighted by
+    effective speed; shared by the plain and fault-tolerant variants."""
+    weights = effective_speed_weights(machines, cfg, oracle, thrash)
+    ranges = sequence_ranges(oracle.n_frames, len(machines), weights=weights)
+    return make_policy(
+        "sequence-division-fc",
+        oracle.n_frames,
+        sequence_ranges=ranges,
+        min_steal_frames=cfg.min_steal_frames,
+    )
 
 
 def simulate_sequence_division_nofc(
@@ -297,6 +329,100 @@ def simulate_hybrid_fc(
         thrash=thrash,
         trace=trace,
         telemetry=telemetry,
+        **ethernet_kwargs,
+    )
+    return transport.run()
+
+
+# -- beyond the paper: the coherence schemes under machine crashes --------------
+def simulate_frame_division_fc_fault_tolerant(
+    oracle: AnimationCostOracle,
+    machines: list[Machine],
+    cfg: RenderFarmConfig | None = None,
+    regions: list[PixelRegion] | None = None,
+    sec_per_work_unit: float = 1e-4,
+    thrash: ThrashModel | None = None,
+    failures: list[tuple[str, float]] | None = None,
+    worker_timeout: float | None = None,
+    trace: bool = False,
+    telemetry=None,
+    **ethernet_kwargs,
+) -> SimulationOutcome:
+    """Frame division + FC with deadline-based failure recovery.
+
+    ``failures`` is a list of ``(machine_name, virtual_time)`` crashes to
+    inject.  Every (block, frame) still completes exactly once while a
+    worker survives; the returned outcome's ``n_steals`` counts adaptive
+    events of both kinds (deadline recoveries and tail steals) and every
+    fresh chain restart shows up in ``n_chain_starts`` and the ray total.
+    Without failures the run equals :func:`simulate_frame_division_fc`.
+    """
+    cfg = cfg or RenderFarmConfig()
+    regions = regions if regions is not None else default_blocks(oracle)
+    if worker_timeout is None:
+        worker_timeout = default_worker_timeout(
+            oracle, machines, cfg, sec_per_work_unit, thrash, regions
+        )
+    policy = make_policy(
+        "frame-division-fc",
+        oracle.n_frames,
+        n_regions=len(regions),
+        min_steal_frames=cfg.min_steal_frames,
+    )
+    transport = SimTransport(
+        policy,
+        oracle,
+        machines,
+        cfg,
+        regions=regions,
+        label="frame-division+fc+ft",
+        sec_per_work_unit=sec_per_work_unit,
+        thrash=thrash,
+        trace=trace,
+        telemetry=telemetry,
+        worker_timeout=worker_timeout,
+        failures=failures,
+        **ethernet_kwargs,
+    )
+    return transport.run()
+
+
+def simulate_sequence_division_fc_fault_tolerant(
+    oracle: AnimationCostOracle,
+    machines: list[Machine],
+    cfg: RenderFarmConfig | None = None,
+    sec_per_work_unit: float = 1e-4,
+    thrash: ThrashModel | None = None,
+    failures: list[tuple[str, float]] | None = None,
+    worker_timeout: float | None = None,
+    trace: bool = False,
+    telemetry=None,
+    **ethernet_kwargs,
+) -> SimulationOutcome:
+    """Sequence division + FC with the same deadline-based recovery.
+
+    Initial subsequences are weighted by effective machine speed exactly
+    like :func:`simulate_sequence_division_fc`; a machine death orphans
+    its whole-frame chain, which restarts fresh (full-frame cost for one
+    frame) on the next live worker.
+    """
+    cfg = cfg or RenderFarmConfig()
+    if worker_timeout is None:
+        worker_timeout = default_worker_timeout(
+            oracle, machines, cfg, sec_per_work_unit, thrash
+        )
+    transport = SimTransport(
+        _sequence_fc_policy(oracle, machines, cfg, thrash),
+        oracle,
+        machines,
+        cfg,
+        label="sequence-division+fc+ft",
+        sec_per_work_unit=sec_per_work_unit,
+        thrash=thrash,
+        trace=trace,
+        telemetry=telemetry,
+        worker_timeout=worker_timeout,
+        failures=failures,
         **ethernet_kwargs,
     )
     return transport.run()

@@ -41,8 +41,8 @@ hung workers are detected and their tasks re-queued with capped retries,
 corrupted outputs are rejected by a shape/finiteness check before
 assembly, and (on the pool) a task that keeps failing degrades to
 in-process serial execution instead of aborting the render.  Passing
-``run_dir`` to :meth:`LocalRenderFarm.render` (static schedule, either
-transport) spools each completed unit to disk as it arrives; a later
+``run_dir`` to :meth:`LocalRenderFarm.render` (static or demand schedule,
+either transport) spools each completed unit to disk as it arrives; a later
 ``render(resume=run_dir)`` drops the finished units from the list before
 the policy is built — checkpoint/resume at the unit granularity,
 complementing the intra-chain granularity of
@@ -406,7 +406,8 @@ class LocalRenderFarm:
         ``"adaptive"`` (sequence chains with tail-stealing).  All three
         run a :mod:`repro.sched` policy — the same state machines the
         cluster simulator replays — through the transport; no unit spans
-        a camera cut.  Only ``"static"`` spools checkpoints.
+        a camera cut.  ``"static"`` and ``"demand"`` spool checkpoints;
+        ``"adaptive"`` cannot (its steals re-cut chains mid-run).
     segment_frames:
         Frames per dispatched segment for ``schedule="adaptive"``.
         Default: 1 on the thread/serial executors (segments continue the
@@ -733,16 +734,17 @@ class LocalRenderFarm:
         ``run_dir`` spools each completed unit to that directory;
         ``resume`` points at such a directory and skips the units it
         already holds (implies spooling new completions there too).
-        Spooling needs ``schedule="static"`` and works on both transports.
+        Spooling needs a fixed unit list (``schedule="static"`` or
+        ``"demand"``) and works on both transports.
         """
         if resume is not None:
             if run_dir is not None and Path(run_dir) != Path(resume):
                 raise ValueError("pass either run_dir or resume, not two different dirs")
             run_dir = resume
-        if run_dir is not None and self.schedule != "static":
+        if run_dir is not None and self.schedule == "adaptive":
             raise ValueError(
-                "checkpoint spooling (run_dir/resume) requires schedule='static', "
-                "whose unit list the mode alone fixes"
+                "checkpoint spooling (run_dir/resume) needs a fixed unit list; "
+                "schedule='adaptive' re-cuts chains as it steals"
             )
         run_path = Path(run_dir) if run_dir is not None else None
 

@@ -14,7 +14,8 @@ separates the two concerns:
   bytes);
 * :mod:`repro.sched.sim` — ``SimTransport``: drives a policy over the
   :class:`~repro.cluster.VirtualPVM` discrete-event cluster (the Table-1
-  replay path);
+  replay path and, with a worker deadline, the fault-tolerant
+  simulator);
 * :mod:`repro.sched.process` — ``ProcessTransport``: drives the *same*
   policy over the supervised multiprocessing executor (the real farm);
 * :mod:`repro.net` — ``TcpTransport`` (re-exported here): drives it over

@@ -1,18 +1,18 @@
 """Drive a scheduling policy over the discrete-event VirtualPVM cluster.
 
-This module owns the plumbing that used to live inside
-``repro.parallel.strategies``: the generic slave program, the farm
-spawner (workers first, master last, so the master's tid is
-predictable), the telemetry bridge that replays a simulated run onto the
-pinned event schema, and the outcome assembly.  What changed is the
-master: instead of six hand-rolled scheduler generators, one
-:class:`SimTransport` master drives any
-:class:`~repro.sched.core.SchedulingPolicy` — priming every worker,
+One :class:`SimTransport` master is the only simulated master: it drives
+any :class:`~repro.sched.core.SchedulingPolicy` — priming every worker,
 pricing each assignment through the
-:class:`~repro.sched.cost.OracleCostModel`, completing frames when all
-their (region, frame) units arrive, and (optionally) sweeping worker
-deadlines so ``on_worker_lost`` can be exercised under injected machine
-failures.
+:class:`~repro.sched.cost.OracleCostModel` and completing frames when
+all their (region, frame) units arrive.  With ``worker_timeout`` set it
+also sweeps worker deadlines and hands a silent worker's work back
+through ``on_worker_lost``: that sweep *is* the fault-tolerant
+simulator (``simulate_*_fault_tolerant`` in
+:mod:`repro.parallel.strategies`), run under the machine crashes
+``failures`` injects.  Around the master sit the generic slave program,
+the farm spawner (workers first, master last, so the master's tid is
+predictable), the telemetry bridge that replays a simulated run onto the
+pinned event schema, and the outcome assembly.
 """
 
 from __future__ import annotations
@@ -33,14 +33,7 @@ from ..parallel.partition import PixelRegion
 from .core import SchedulingPolicy
 from .cost import AssignmentCost, OracleCostModel
 
-__all__ = [
-    "SimTelemetry",
-    "RunAccounting",
-    "worker_program",
-    "spawn_farm",
-    "outcome_from",
-    "SimTransport",
-]
+__all__ = ["SimTelemetry", "SimTransport"]
 
 
 class SimTelemetry:
@@ -86,22 +79,10 @@ class SimTelemetry:
             mode=self.mode,
         )
 
-    def on_dispatch(
-        self, payload: dict, frame: int, region_px: int, rays: int, n_computed: int, now: float
-    ) -> None:
-        if not self.enabled:
-            return
-        self.frame_rays[frame] = self.frame_rays.get(frame, 0) + int(rays)
-        self.frame_computed[frame] = self.frame_computed.get(frame, 0) + int(n_computed)
-        payload["_t0"] = now
-        payload["_region_px"] = int(region_px)
-        payload["_rays"] = int(rays)
-        payload["_n_computed"] = int(n_computed)
-
     def on_dispatch_cost(
         self, payload: dict, cost: AssignmentCost, region_px: int, now: float
     ) -> None:
-        """Multi-frame variant: accumulate each frame-step, stamp totals."""
+        """Accumulate each frame-step of an assignment, stamp its totals."""
         if not self.enabled:
             return
         for s in cost.per_frame:
@@ -299,14 +280,18 @@ class SimTransport:
     ``single=True`` replays the policy as one renderer process with no
     message passing (Table 1's single-processor columns); otherwise the
     master primes every worker, reprices each assignment at dispatch time
-    and writes frames as their last (region, frame) unit completes —
-    message for message what the hand-rolled strategy masters did.
+    and writes frames as their last (region, frame) unit completes.
 
     ``worker_timeout`` switches the master's blocking ``Recv`` to a
-    deadline sweep: a worker whose assignment outlives the deadline is
-    declared lost, the policy requeues its chain fresh, and idle live
-    workers are re-fed — which is how the scheduler edge-case tests drive
-    ``on_worker_lost`` against injected machine failures.
+    deadline sweep — the fault-tolerant simulator.  A worker whose
+    assignment outlives the deadline is declared lost, the policy
+    requeues its chain fresh (``on_worker_lost``), and idle live workers
+    are re-fed; ``failures`` crashes machines at given virtual times.
+    Idle workers stay alive so they can take requeued work, and are
+    stopped by one multicast when the run is done.  Without failures the
+    sweep never fires: schedule, rays, frame times and end time equal
+    the run without a deadline.  ``n_steals`` on the outcome counts
+    adaptive events of both kinds: tail steals plus requeued losses.
     """
 
     def __init__(
@@ -365,7 +350,7 @@ class SimTransport:
 
     def _sync_policy_counters(self, acct: RunAccounting) -> None:
         acct.n_chain_starts = self.policy.n_chain_starts
-        acct.n_steals = self.policy.n_steals
+        acct.n_steals = self.policy.n_steals + self.policy.n_reassigned
 
     def run(self) -> SimulationOutcome:
         if self.single:
@@ -511,8 +496,11 @@ class SimTransport:
                     if not inflight and not policy.finished:
                         raise RuntimeError("all workers dead with work remaining")
 
-            for tid in worker_tids:
-                if tid not in stopped:
-                    yield Send(tid, cfg.msg_overhead_bytes, None, tag="stop")
+            # Stop every worker still waiting, including ones declared dead:
+            # a worker that was merely slow must not deadlock the run, and
+            # the copy to a crashed task is dropped.
+            rest = tuple(tid for tid in worker_tids if tid not in stopped)
+            if rest:
+                yield Send(rest, cfg.msg_overhead_bytes, None, tag="stop")
 
         return factory

@@ -51,6 +51,41 @@ def test_simulate_engine_returns_outcome():
     assert result.frames is None  # the simulator models time, not pixels
 
 
+def test_simulate_fault_tolerant_strategy_recovers():
+    """The ``*-fc-ft`` route: a slave crash is caught by the deadline sweep,
+    logged as a ``recovery`` event, and every frame still completes;
+    ``RenderRequest.worker_timeout`` replaces the default deadline."""
+    from repro.cluster import ncsu_testbed
+    from repro.parallel import (
+        RenderFarmConfig,
+        build_oracle,
+        default_blocks,
+        default_worker_timeout,
+    )
+    from repro.scenes import newton_animation
+
+    oracle = build_oracle(newton_animation(n_frames=3, width=48, height=36), grid_resolution=12)
+    req = RenderRequest(
+        engine="simulate", strategy="frame-division-fc-ft", oracle=oracle, telemetry=True,
+        **SMALL,
+    )
+    clean = render(req).outcome
+    default = default_worker_timeout(
+        oracle, ncsu_testbed(), RenderFarmConfig(), req.sec_per_work_unit, None,
+        default_blocks(oracle),
+    )
+    crash = [("indigo2-100", 0.3 * clean.total_time)]
+    for timeout, expected in ((None, default), (2.0 * default, 2.0 * default)):
+        result = render(req, failures=crash, worker_timeout=timeout)
+        assert len(result.outcome.frame_completion_times) == result.n_frames
+        validate_events(result.events)
+        recoveries = [e["attrs"] for e in result.events if e["name"] == "recovery"]
+        assert recoveries, timeout
+        assert all(r["kind"] == "deadline" for r in recoveries)
+        assert all(r["worker"] == "indigo2-100" for r in recoveries)
+        assert all(r["duration"] == expected for r in recoveries)
+
+
 def test_kwargs_override_request():
     req = RenderRequest(engine="animation", **SMALL)
     result = render(req, n_frames=2)

@@ -18,8 +18,7 @@ from repro.cluster import ThrashModel, ncsu_testbed
 from repro.parallel.config import RenderFarmConfig
 from repro.parallel.oracle import AnimationCostOracle
 from repro.parallel.partition import sequence_ranges
-from repro.parallel.fault_tolerance import default_worker_timeout
-from repro.parallel.strategies import default_blocks
+from repro.parallel.strategies import default_blocks, default_worker_timeout
 from repro.runtime import AnimationSpec, LocalRenderFarm
 from repro.runtime.faults import FaultPlan
 from repro.sched import (
@@ -389,8 +388,24 @@ def test_farm_dynamic_schedules_bit_identical():
         assert np.array_equal(out.frames, ref.frames)
 
 
-def test_dynamic_schedule_rejects_spooling(tmp_path):
+def test_adaptive_schedule_rejects_spooling(tmp_path):
     spec = AnimationSpec.newton(n_frames=2, width=16, height=12)
-    farm = LocalRenderFarm(spec, executor="serial", schedule="demand")
-    with pytest.raises(ValueError, match="static"):
+    farm = LocalRenderFarm(spec, executor="serial", schedule="adaptive")
+    with pytest.raises(ValueError, match="adaptive"):
         farm.render(run_dir=tmp_path)
+
+
+def test_demand_schedule_spools_and_resumes(tmp_path):
+    """Demand's unit list is fixed before the run, so it spools like
+    static: a resume re-renders exactly the units whose files are gone."""
+    spec = AnimationSpec.newton(n_frames=4, width=24, height=18)
+    kw = dict(n_workers=2, executor="serial", schedule="demand", grid_resolution=12)
+    ref = LocalRenderFarm(spec, **kw).render_reference()
+    first = LocalRenderFarm(spec, **kw).render(run_dir=tmp_path)
+    assert len(list(tmp_path.glob("task_*.npz"))) == first.n_tasks == 24
+    for idx in (2, 7):
+        (tmp_path / f"task_{idx:04d}.npz").unlink()
+    res = LocalRenderFarm(spec, **kw).render(resume=tmp_path)
+    assert res.n_from_checkpoint == 22
+    assert {a.task_index for a in res.attempts} == {2, 7}
+    assert res.frames.tobytes() == ref.frames.tobytes()
