@@ -281,34 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_size_args(p_oracle)
     p_oracle.add_argument("--save", type=Path, help="also save the oracle as .npz")
 
-    p_shard = sub.add_parser(
-        "shard",
-        help="object-space sharded render: workers own scene shards and trade rays",
-    )
-    p_shard.add_argument("workload", choices=_WORKLOADS)
-    _add_size_args(p_shard, frames=4)
-    p_shard.add_argument("--shards", type=int, default=4, help="shard count K")
-    p_shard.add_argument("--workers", type=int, default=2, help="worker daemons to spawn")
-    p_shard.add_argument(
-        "--supersample", type=int, default=1, metavar="N", help="N x N samples per pixel"
-    )
-    p_shard.add_argument(
-        "--out", type=Path, default=None, metavar="DIR", help="write frames as .tga to DIR"
-    )
-    p_shard.add_argument(
-        "--die-after-rays", type=int, default=None, metavar="N",
-        help="fault drill: worker 0 crashes before serving shard request N+1",
-    )
-    p_shard.add_argument(
-        "--telemetry", type=Path, default=None, metavar="DIR",
-        help="write structured telemetry (events.jsonl) to DIR",
-    )
-    p_shard.add_argument(
-        "--status-port", type=int, default=None, metavar="PORT",
-        help="serve a live JSON status snapshot on 127.0.0.1:PORT "
-             "(watch with: repro top 127.0.0.1:PORT)",
-    )
-
     p_worker = sub.add_parser(
         "worker", help="join a repro.net farm as a rendering worker daemon"
     )
@@ -327,10 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument(
         "--die-after", type=int, default=None, metavar="N",
         help="fault drill: crash hard on receiving assignment N+1",
-    )
-    p_worker.add_argument(
-        "--die-after-rays", type=int, default=None, metavar="N",
-        help="fault drill: crash hard before serving shard request N+1",
     )
     p_worker.add_argument(
         "--die-after-frames", type=int, default=None, metavar="N",
@@ -489,70 +457,6 @@ def _cmd_farm(args) -> int:
     return 0 if result.bit_identical else 1
 
 
-def _cmd_shard(args) -> int:
-    from .api import _WORKLOAD_FACTORIES
-    from .obs import RunLedger, StatusServer
-    from .runtime.spec import AnimationSpec
-    from .shard.net import render_sharded_tcp
-    from .telemetry import JsonlSink, Telemetry
-
-    spec = AnimationSpec(
-        _WORKLOAD_FACTORIES[args.workload],
-        {"n_frames": args.frames, "width": args.width, "height": args.height},
-    )
-    ledger = RunLedger()
-    sinks = [ledger]
-    events_path = None
-    if args.telemetry is not None:
-        args.telemetry.mkdir(parents=True, exist_ok=True)
-        events_path = args.telemetry / "events.jsonl"
-        sinks.append(JsonlSink(events_path))
-    status = None
-    if args.status_port is not None:
-        status = StatusServer(ledger, port=args.status_port)
-        status.start()
-        print(
-            f"live status on http://127.0.0.1:{status.port}/status "
-            f"(watch with: repro top 127.0.0.1:{status.port})"
-        )
-    die = {0: args.die_after_rays} if args.die_after_rays is not None else None
-    t0 = time.perf_counter()
-    try:
-        session, outcome = render_sharded_tcp(
-            spec,
-            frames=args.frames,
-            shards=args.shards,
-            n_workers=args.workers,
-            samples_per_axis=args.supersample,
-            die_after_rays=die,
-            telemetry=Telemetry(sinks=tuple(sinks)),
-        )
-    finally:
-        if status is not None:
-            status.stop()
-    wall = time.perf_counter() - t0
-    rays_recv = sum(int(st.rays_recv.sum()) for st in session.stats)
-    ray_kb = sum(st.total_ray_bytes for st in session.stats) / 1024.0
-    print(
-        f"object-space: {session.k} shards on {args.workers} workers, "
-        f"{len(session.frames)} frames in {wall:.1f}s"
-    )
-    print(
-        f"rays routed {rays_recv:,} · {ray_kb:.1f} KiB traded · "
-        f"{session.n_replays} replayed · {outcome.net.n_losses} losses"
-    )
-    if args.out is not None:
-        from .imageio import write_targa
-
-        args.out.mkdir(parents=True, exist_ok=True)
-        for f, fb in enumerate(session.frames):
-            write_targa(args.out / f"{args.workload}{f:04d}.tga", fb.to_uint8())
-        print(f"frames in {args.out}/")
-    if events_path is not None:
-        print(f"telemetry in {events_path}")
-    return 0
-
-
 def _cmd_worker(args) -> int:
     from .net.worker import WorkerClient
 
@@ -566,7 +470,6 @@ def _cmd_worker(args) -> int:
         score=args.score,
         max_retries=args.max_retries,
         die_after=args.die_after,
-        die_after_rays=args.die_after_rays,
         die_after_frames=args.die_after_frames,
         blackbox_dir=args.blackbox_dir,
         verbose=args.verbose,
@@ -769,7 +672,6 @@ def main(argv: list[str] | None = None) -> int:
         "simulate": _cmd_simulate,
         "telemetry": _cmd_telemetry,
         "oracle": _cmd_oracle,
-        "shard": _cmd_shard,
         "worker": _cmd_worker,
         "top": _cmd_top,
         "serve": _cmd_serve,

@@ -172,15 +172,6 @@ class MasterServer:
         ``tile_box(assignment)`` maps an assignment to its pixel box
         (``None`` = whole frame); ``on_tile(worker, frame, box, pixels,
         frame_complete)`` observes every composited tile.
-    session / minor_floor:
-        Object-space sharding (DESIGN §16).  A ``session`` (a
-        :class:`repro.shard.net.ShardSession`) replaces the ASSIGN/RESULT
-        dispatch loop: the master itself drives the wavefront trace,
-        lanes serve RAYS/SHADE queries for the shards the policy binds to
-        them, and losses route through ``session.on_worker_lost`` for
-        outbox-ledger replay.  ``minor_floor`` lets such a run raise the
-        HELLO admission floor to 4 (the revision that speaks RAYS/SHADE)
-        without bumping the protocol-wide floor for plain farms.
     """
 
     def __init__(
@@ -209,8 +200,6 @@ class MasterServer:
         tile_px: int | None = None,
         tile_box=None,
         on_tile=None,
-        session=None,
-        minor_floor: int | None = None,
         blackbox_dir=None,
     ) -> None:
         self.policy = policy
@@ -237,10 +226,6 @@ class MasterServer:
         self.tile_px = int(tile_px) if tile_px else 32
         self.tile_box = tile_box or (lambda a: None)
         self.on_tile = on_tile
-        self.session = session
-        self.minor_floor = (
-            int(minor_floor) if minor_floor is not None else wire.PROTO_MINOR_FLOOR
-        )
         #: Flight-recorder plumbing: where black-box dumps land (ours on a
         #: worker loss, a victim's when shipped over MSG_BLACKBOX) and
         #: where ``net.worker.lost`` looks for the victim's own dump.
@@ -313,10 +298,7 @@ class MasterServer:
                     self._ping_all(sel, now)
                     next_ping = now + self.heartbeat_interval
                 self._sweep(sel, now)
-                if self.session is not None:
-                    self.session.pump(self, sel, now)
-                else:
-                    self._dispatch(sel, now)
+                self._dispatch(sel, now)
                 if policy.finished:
                     break
                 for key, _mask in sel.select(timeout=0.05):
@@ -386,7 +368,7 @@ class MasterServer:
                 self._lose(sel, conn, "error")
                 return
             minor = int(payload.get("minor", 0) or 0)
-            if minor < self.minor_floor:
+            if minor < wire.PROTO_MINOR_FLOOR:
                 self._reject(sel, conn, payload)
                 return
             conn.name = f"w{self._n_named}"
@@ -456,11 +438,6 @@ class MasterServer:
                     self.telemetry.event(
                         "obs.clock", worker=conn.name, offset=conn.offset, rtt=rtt
                     )
-        elif msg_type in (wire.MSG_RAYS, wire.MSG_SHADE):
-            if self.session is not None:
-                self.session.on_reply(self, conn, msg_type, payload, nbytes)
-                self._last_progress = now
-            # RAYS/SHADE outside a shard session: valid type, ignored.
         elif msg_type == wire.MSG_BLACKBOX:
             self._on_blackbox_frame(conn, payload)
         elif msg_type == wire.MSG_TILE:
@@ -859,10 +836,6 @@ class MasterServer:
                     )
                     self.policy.on_partial_result(conn.name, frame_done)
         self.policy.on_worker_lost(conn.name)
-        if self.session is not None:
-            # After the policy requeued the lane's shard units: orphan the
-            # lane's in-flight shard requests so the ledger replays them.
-            self.session.on_worker_lost(self, conn.name)
         self._last_progress = now
 
     def _send(self, conn: _Conn, msg_type: int, obj) -> int:
@@ -909,9 +882,7 @@ class TcpTransport:
 
     ``die_after`` maps a worker index to an assignment count after which
     that daemon hard-crashes (`--die-after`), the deterministic stand-in
-    for a workstation dying mid-sequence.  ``die_after_rays`` is the
-    object-space analogue: a shard-request count after which the daemon
-    crashes (`--die-after-rays`), used by the shard-loss replay drill.
+    for a workstation dying mid-sequence.
     """
 
     def __init__(
@@ -922,7 +893,6 @@ class TcpTransport:
         *,
         n_workers: int = 2,
         die_after: dict[int, int] | None = None,
-        die_after_rays: dict[int, int] | None = None,
         die_after_frames: dict[int, int] | None = None,
         worker_verbose: bool = False,
         python: str | None = None,
@@ -931,7 +901,6 @@ class TcpTransport:
     ) -> None:
         self.n_workers = max(1, int(n_workers))
         self.die_after = dict(die_after or {})
-        self.die_after_rays = dict(die_after_rays or {})
         self.die_after_frames = dict(die_after_frames or {})
         self.worker_verbose = worker_verbose
         self.python = python or sys.executable
@@ -953,8 +922,6 @@ class TcpTransport:
         ]
         if index in self.die_after:
             cmd += ["--die-after", str(self.die_after[index])]
-        if index in self.die_after_rays:
-            cmd += ["--die-after-rays", str(self.die_after_rays[index])]
         if index in self.die_after_frames:
             cmd += ["--die-after-frames", str(self.die_after_frames[index])]
         if self.blackbox_dir is not None:

@@ -35,13 +35,6 @@ ASSIGN      m -> w     {seq, region, frame0, frame1, fresh, coherent,
 RESULT      w -> m     {seq, result, duration, events}
 TILE        w -> m     {seq, frame, x0, y0, x1, y1, pixels}  (streamed
                        before the closing RESULT; minor 3 workers only)
-RAYS        m <-> w    {rid, shard, frame, k, op, spec, arrays...} — a ray
-                       batch routed to a shard owner (op nearest/occlude);
-                       the owner answers with the same type + rid
-                       (minor 4, object-space sharding)
-SHADE       m <-> w    {rid, shard, frame, k, spec, obj, points} — pigment
-                       and finish fetch for hits owned by a shard; answered
-                       in kind (minor 4)
 BLACKBOX    w -> m     {role, pid, reason, records} — a reconnecting
                        worker ships the flight-recorder dump its previous
                        incarnation left (minor 5, observability plane)
@@ -75,6 +68,7 @@ as before, while a minor-3 worker streams TILE frames.
 
 from __future__ import annotations
 
+import re
 import struct
 import zlib
 from collections import deque
@@ -100,8 +94,6 @@ __all__ = [
     "MSG_JOB_STATUS",
     "MSG_JOB_CANCEL",
     "MSG_TILE",
-    "MSG_RAYS",
-    "MSG_SHADE",
     "MSG_BLACKBOX",
     "MSG_NAMES",
     "ProtocolError",
@@ -126,12 +118,8 @@ PROTO_VERSION = 1
 #: Minor 3: TILE streaming — workers that advertise it receive a tile
 #: directive in ASSIGN and ship finished tiles incrementally (the
 #: distributed framebuffer); the closing RESULT then omits the pixels.
-#: Minor 4: RAYS/SHADE — object-space sharding.  The master routes
-#: wavefront ray batches to shard owners (``MSG_RAYS`` with op
-#: ``nearest``/``occlude``) and fetches pigment/finish data for hits
-#: (``MSG_SHADE``); owners answer with the same message type and a
-#: request id.  Capability-negotiated like tiles: a sharded master
-#: raises its HELLO floor to 4, plain farms keep serving older workers.
+#: Minor 4: RAYS/SHADE (codes 13 and 14), since retired with the
+#: subsystem that spoke them; the number stays taken.
 #: Minor 5: BLACKBOX — a reconnecting worker ships the flight-recorder
 #: dump its dead predecessor wrote, so the master can stitch the victim's
 #: last seconds into the merged trace.  Purely additive: masters ignore
@@ -155,8 +143,7 @@ MSG_JOB_SUBMIT = 9
 MSG_JOB_STATUS = 10
 MSG_JOB_CANCEL = 11
 MSG_TILE = 12
-MSG_RAYS = 13
-MSG_SHADE = 14
+# Codes 13 and 14 (RAYS/SHADE, object-space sharding) are retired: never reuse them.
 MSG_BLACKBOX = 15
 
 MSG_NAMES = {
@@ -172,8 +159,6 @@ MSG_NAMES = {
     MSG_JOB_STATUS: "job_status",
     MSG_JOB_CANCEL: "job_cancel",
     MSG_TILE: "tile",
-    MSG_RAYS: "rays",
-    MSG_SHADE: "shade",
     MSG_BLACKBOX: "blackbox",
 }
 
@@ -379,7 +364,10 @@ def _decode_one(r: _Reader):
         return _F64.unpack(r.take(8))[0]
     if tag == _T_STR:
         (n,) = _U32.unpack(r.take(4))
-        return str(r.take(n), "utf-8")
+        try:
+            return str(r.take(n), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError("string is not valid UTF-8") from exc
     if tag == _T_BYTES:
         (n,) = _U32.unpack(r.take(4))
         return bytes(r.take(n))
@@ -389,28 +377,71 @@ def _decode_one(r: _Reader):
         return tuple(items) if tag == _T_TUPLE else items
     if tag == _T_DICT:
         (n,) = _U32.unpack(r.take(4))
-        return {_decode_one(r): _decode_one(r) for _ in range(n)}
+        out = {}
+        for _ in range(n):
+            key = _decode_one(r)
+            value = _decode_one(r)
+            try:
+                out[key] = value
+            except TypeError as exc:  # a list, dict or array as the key
+                raise ProtocolError("unhashable dict key") from exc
+        return out
     if tag == _T_ARRAY:
-        dlen = r.take_byte()
-        dtype = np.dtype(str(r.take(dlen), "ascii"))
-        ndim = r.take_byte()
-        shape = tuple(_U64.unpack(r.take(8))[0] for _ in range(ndim))
-        compressed = r.take_byte()
-        (nbytes,) = _U64.unpack(r.take(8))
-        data = r.take(nbytes)
-        if compressed:
-            data = zlib.decompress(data)
-        if _ZERO_COPY:
-            # Read-only view over the payload itself — the one rule of
-            # the data plane: decoded arrays are borrowed, never owned.
-            # Consumers that must mutate copy explicitly (DESIGN §15).
-            arr = np.frombuffer(data, dtype=dtype).reshape(shape)
-            if arr.flags.writeable:
-                arr.setflags(write=False)
-            return arr
-        copystats.add(int(nbytes), "decode.copy")
-        return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+        return _decode_array(r)
     raise ProtocolError(f"unknown payload tag {chr(tag)!r}")
+
+
+_DTYPE_STR = re.compile(rb"[<>|][biufcmMSUV]\d+(\[\w+\])?")
+
+
+def _decode_array(r: _Reader) -> np.ndarray:
+    dlen = r.take_byte()
+    dtext = r.take(dlen)
+    # Only what ``dtype.str`` emits for a plain numeric/bytes dtype: no
+    # object pointers, no subarrays, none of numpy's deprecated aliases.
+    if _DTYPE_STR.fullmatch(dtext) is None:
+        raise ProtocolError(f"bad array dtype {bytes(dtext)!r}")
+    try:
+        dtype = np.dtype(str(dtext, "ascii"))
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"bad array dtype {bytes(dtext)!r}") from exc
+    if not dtype.itemsize:
+        raise ProtocolError(f"array dtype {dtype.str!r} has no bytes")
+    ndim = r.take_byte()
+    shape = tuple(_U64.unpack(r.take(8))[0] for _ in range(ndim))
+    compressed = r.take_byte()
+    (nbytes,) = _U64.unpack(r.take(8))
+    data = r.take(nbytes)
+    # The declared shape fixes the byte count; a mismatch (or a zlib
+    # stream that inflates past it) is junk, never a bigger allocation.
+    # Zero-length axes count as 1 in the bound: numpy refuses an empty
+    # array whose other axes multiply past its index range.
+    span = dtype.itemsize
+    for dim in shape:
+        span *= max(dim, 1)
+    if span > MAX_PAYLOAD:
+        raise ProtocolError(f"array shape {shape} exceeds MAX_PAYLOAD")
+    expected = span if all(shape) else 0
+    if compressed:
+        inflater = zlib.decompressobj()
+        try:
+            data = inflater.decompress(data, expected + 1)
+        except zlib.error as exc:
+            raise ProtocolError(f"bad compressed array: {exc}") from exc
+        if not inflater.eof or inflater.unused_data:
+            raise ProtocolError("compressed array is not one complete zlib stream")
+    if len(data) != expected:
+        raise ProtocolError(f"array holds {len(data)} bytes; shape {shape} needs {expected}")
+    if _ZERO_COPY:
+        # Read-only view over the payload itself — the one rule of
+        # the data plane: decoded arrays are borrowed, never owned.
+        # Consumers that must mutate copy explicitly (DESIGN §15).
+        arr = np.frombuffer(data, dtype=dtype).reshape(shape)
+        if arr.flags.writeable:
+            arr.setflags(write=False)
+        return arr
+    copystats.add(int(nbytes), "decode.copy")
+    return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
 
 
 def decode(payload):
@@ -421,7 +452,10 @@ def decode(payload):
     zero-copy is disabled.
     """
     r = _Reader(payload)
-    obj = _decode_one(r)
+    try:
+        obj = _decode_one(r)
+    except RecursionError as exc:  # lists nested past the interpreter's stack
+        raise ProtocolError("payload nests too deeply") from exc
     if r.pos != r.size:
         raise ProtocolError(f"{r.size - r.pos} trailing bytes after payload")
     return obj

@@ -28,18 +28,6 @@ for.  Every kill path dumps the ring first; on (re)connect the daemon
 ships any black boxes a predecessor process left in ``--blackbox-dir``
 to the master over ``MSG_BLACKBOX``, so post-mortems survive even when
 the run directory is not shared storage.
-
-In **object-space sharded** runs (protocol minor 4, DESIGN §16) the
-worker additionally serves RAYS/SHADE queries against the scene shard it
-owns: it rebuilds the scene from the animation spec named in the request
-(the same no-live-data-on-the-wire rule the paper's PVM slaves followed),
-partitions it with the deterministic :mod:`repro.shard` splitter, and
-answers intersection/occlusion/shading queries for its members.  Because
-replies are pure functions of ``(spec, frame, k, shard, request)``, a
-replacement owner answers replayed requests bit-identically — which is
-what makes the master's outbox-ledger replay after a crash exact.
-``die_after_rays=N`` is the matching fault hook: hard-exit before
-serving shard request ``N+1`` (the CI ``shard-smoke`` drill).
 """
 
 from __future__ import annotations
@@ -154,10 +142,6 @@ class WorkerClient:
     die_after:
         Crash hard on receiving assignment number ``die_after + 1``
         (``None`` = never); see the module docstring.
-    die_after_rays:
-        Crash hard before serving shard request number
-        ``die_after_rays + 1`` (``None`` = never) — the object-space
-        analogue of ``die_after``, used by the shard-loss replay drill.
     die_after_frames:
         Crash hard the instant frame event ``die_after_frames + 1``
         crosses the telemetry spine (``None`` = never) — a *mid-task*
@@ -180,7 +164,6 @@ class WorkerClient:
         backoff_base: float = 0.2,
         backoff_cap: float = 3.0,
         die_after: int | None = None,
-        die_after_rays: int | None = None,
         die_after_frames: int | None = None,
         blackbox_dir=None,
         score: float | None = None,
@@ -194,7 +177,6 @@ class WorkerClient:
         self.backoff_base = float(backoff_base)
         self.backoff_cap = float(backoff_cap)
         self.die_after = die_after
-        self.die_after_rays = die_after_rays
         self.die_after_frames = die_after_frames
         self.score = calibrate() if score is None else float(score)
         self.label = label or f"{socket.gethostname()}:{os.getpid()}"
@@ -202,10 +184,6 @@ class WorkerClient:
         self.worker_id = ""
         self.n_rendered = 0
         self._n_assigned = 0
-        self._n_shard_served = 0
-        # (factory, kwargs-repr, frame, k, shard) -> ShardWorker; scenes
-        # are expensive to rebuild and one frame sees many requests.
-        self._shard_workers: dict = {}
         self._send_lock = threading.Lock()
         self._compress = True
         self._compress_min = 4096
@@ -385,8 +363,6 @@ class WorkerClient:
                     )
                 elif msg_type == wire.MSG_ASSIGN:
                     inbox.put(("assign", payload))
-                elif msg_type in (wire.MSG_RAYS, wire.MSG_SHADE):
-                    inbox.put(("shard", (msg_type, payload)))
                 elif msg_type == wire.MSG_SHUTDOWN:
                     inbox.put(("shutdown", None))
                     return
@@ -445,61 +421,6 @@ class WorkerClient:
             compress_min_bytes=self._compress_min,
         )
 
-    # -- object-space sharding (protocol minor 4) ------------------------------
-    def _shard_worker_for(self, spec: dict, frame: int, k: int, shard: int):
-        """Build (or fetch) the ShardWorker owning ``shard`` of this frame.
-
-        The scene is rebuilt from the animation spec and re-partitioned
-        locally — the owner map is a pure function of ``(scene, k)``, so
-        master and worker agree on membership without shipping it.
-        """
-        from ..runtime.spec import AnimationSpec
-        from ..shard import ShardWorker, partition_scene
-
-        kwargs = dict(spec.get("kwargs") or {})
-        key = (str(spec["factory"]), repr(sorted(kwargs.items())), frame, k, shard)
-        worker = self._shard_workers.get(key)
-        if worker is None:
-            scene = AnimationSpec(str(spec["factory"]), kwargs).build().scene_at(frame)
-            worker = ShardWorker(scene, partition_scene(scene, k), shard)
-            if len(self._shard_workers) >= 4:  # tiny LRU: evict the oldest
-                self._shard_workers.pop(next(iter(self._shard_workers)))
-            self._shard_workers[key] = worker
-        return worker
-
-    def _run_shard(self, sock: socket.socket, msg_type: int, payload: dict) -> None:
-        self._n_shard_served += 1
-        if self.die_after_rays is not None and self._n_shard_served > self.die_after_rays:
-            self._log(f"injected crash on shard request {self._n_shard_served}")
-            self.recorder.dump("die-after-rays")
-            os._exit(EXIT_INJECTED_CRASH)
-        rid = payload.get("rid")
-        try:
-            op = "shade" if msg_type == wire.MSG_SHADE else str(payload.get("op", "nearest"))
-            worker = self._shard_worker_for(
-                payload["spec"],
-                int(payload.get("frame", 0)),
-                int(payload["k"]),
-                int(payload["shard"]),
-            )
-            result = worker.serve(op, payload)
-        except Exception as exc:  # master drops the lane and replays elsewhere
-            wire.send_frame(
-                sock,
-                wire.MSG_ERROR,
-                {"seq": -1, "rid": rid, "error": repr(exc), "events": self._drain_events()},
-                lock=self._send_lock,
-            )
-            return
-        wire.send_frame(
-            sock,
-            msg_type,
-            {"rid": rid, **result},
-            lock=self._send_lock,
-            compress_arrays=self._compress,
-            compress_min_bytes=self._compress_min,
-        )
-
     def _serve(self, sock: socket.socket) -> str:
         """Serve one connection to completion; returns why it ended."""
         hs = self._handshake(sock)
@@ -519,11 +440,6 @@ class WorkerClient:
             if kind == "assign":
                 try:
                     self._run_assignment(sock, payload)
-                except OSError:
-                    return "lost"
-            elif kind == "shard":
-                try:
-                    self._run_shard(sock, *payload)
                 except OSError:
                     return "lost"
             else:
@@ -577,10 +493,6 @@ def main(argv: list[str] | None = None) -> int:
         help="fault drill: crash hard on receiving assignment N+1",
     )
     parser.add_argument(
-        "--die-after-rays", type=int, default=None, metavar="N",
-        help="fault drill: crash hard before serving shard request N+1",
-    )
-    parser.add_argument(
         "--die-after-frames", type=int, default=None, metavar="N",
         help="fault drill: crash hard (mid-task) on rendering frame N+1",
     )
@@ -600,7 +512,6 @@ def main(argv: list[str] | None = None) -> int:
         score=args.score,
         max_retries=args.max_retries,
         die_after=args.die_after,
-        die_after_rays=args.die_after_rays,
         die_after_frames=args.die_after_frames,
         blackbox_dir=args.blackbox_dir,
         verbose=args.verbose,

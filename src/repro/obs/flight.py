@@ -1,7 +1,6 @@
 """Flight recorder: always-on ring buffers dumped as crash black boxes.
 
-Every process in a farm — master, worker daemon, service daemon, shard
-session — keeps a bounded ring of its most recent telemetry records and
+Every process in a farm — master, worker daemon, service daemon — keeps a bounded ring of its most recent telemetry records and
 protocol-frame notes.  The ring costs one deque append per record and is
 invisible until something dies; then it is dumped atomically as
 ``blackbox_<role>_<pid>.jsonl`` into the run directory, preserving the
@@ -124,7 +123,7 @@ class FlightRecorder:
     ----------
     role:
         Short process label baked into the dump filename
-        (``master`` / ``worker`` / ``service`` / ``shard``).
+        (``master`` / ``worker`` / ``service``).
     out_dir:
         Where dumps land.  ``None`` disables file dumps (the records are
         still collected and can ship over the wire via :meth:`records`).

@@ -52,8 +52,6 @@ class RunLedger:
         self._tiles_done = 0
         self._tile_bytes = 0
         self._frames_salvaged = 0
-        self._shard_owner: dict[int, str] = {}  # shard -> current owner
-        self._shard_bytes = 0  # ray-exchange wire bytes (requests + replies)
         self._n_events = 0
         self._snapshot: dict | None = None
         self._snapshot_t = 0.0
@@ -88,10 +86,6 @@ class RunLedger:
                 "offset": 0.0,
                 "health": "ok",  # ok | straggler | lost (health.* + loss events)
                 "last_heartbeat": None,  # wall-clock time of last sign of life
-                # Object-space sharding counters (zero outside shard runs).
-                "rays_local": 0,  # rays this worker's shards traced for themselves
-                "rays_forwarded": 0,  # rays its shards shipped to other owners
-                "rays_received": 0,  # rays routed to it (local + from others)
             },
         )
 
@@ -196,18 +190,6 @@ class RunLedger:
             attrs.get("frame0", 0)
         )
 
-    def _on_shard_rays(self, attrs, record) -> None:
-        w = self._worker(attrs.get("worker", "?"))
-        self._shard_owner[int(attrs.get("shard", -1))] = w["worker"]
-        w["rays_local"] += int(attrs.get("n_local", 0))
-        w["rays_forwarded"] += int(attrs.get("n_forwarded", 0))
-        w["last_heartbeat"] = self._clock()
-
-    def _on_shard_xfer(self, attrs, record) -> None:
-        w = self._worker(attrs.get("worker", "?"))
-        w["rays_received"] += int(attrs.get("n_rays", 0))
-        self._shard_bytes += int(attrs.get("nbytes", 0))
-
     _HANDLERS = {
         "run.start": _on_run_start,
         "run.end": _on_run_end,
@@ -225,8 +207,6 @@ class RunLedger:
         "frame": _on_frame,
         "dfb.tile": _on_tile,
         "dfb.salvage": _on_salvage,
-        "shard.rays": _on_shard_rays,
-        "shard.xfer": _on_shard_xfer,
     }
 
     # -- read side -------------------------------------------------------------
@@ -252,9 +232,6 @@ class RunLedger:
         eta = None
         if not self._done and frames_done > 0 and elapsed > 0 and n_frames > frames_done:
             eta = (n_frames - frames_done) * (elapsed / frames_done)
-        owned: dict[str, list[int]] = {}
-        for shard, owner in sorted(self._shard_owner.items()):
-            owned.setdefault(owner, []).append(shard)
         workers = []
         for w in sorted(self._workers.values(), key=lambda w: w["worker"]):
             hb = w["last_heartbeat"]
@@ -270,10 +247,6 @@ class RunLedger:
                     "offset": w["offset"],
                     "health": w["health"],
                     "heartbeat_age": (round(now - hb, 3) if hb is not None else None),
-                    "shards": owned.get(w["worker"], []),
-                    "rays_local": w["rays_local"],
-                    "rays_forwarded": w["rays_forwarded"],
-                    "rays_received": w["rays_received"],
                 }
             )
         return {
@@ -291,8 +264,6 @@ class RunLedger:
             "tiles_done": self._tiles_done,
             "tile_bytes": self._tile_bytes,
             "frames_salvaged": self._frames_salvaged,
-            "n_shards": len(self._shard_owner),
-            "shard_bytes": self._shard_bytes,
             "workers": workers,
             "in_flight": [
                 {**a, "age": round(now - a.pop("since"), 3)}

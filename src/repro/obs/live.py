@@ -179,21 +179,6 @@ def render_status(snap: dict) -> str:
             f"  tiles {tiles_done} · {tile_kb:.1f} KiB streamed"
             + (f" · {salvaged} frames salvaged" if salvaged else "")
         )
-    n_shards = int(snap.get("n_shards", 0) or 0)
-    if n_shards:
-        shard_kb = float(snap.get("shard_bytes", 0) or 0) / 1024.0
-        lines.append(f"  object-space: {n_shards} shards · {shard_kb:.1f} KiB rays traded")
-        for w in snap.get("workers", []):
-            shards = w.get("shards") or []
-            if not shards and not w.get("rays_received"):
-                continue
-            owned = ",".join(str(s) for s in shards) or "-"
-            lines.append(
-                f"    {w['worker']:<14} shards [{owned}] · "
-                f"rays recv {w.get('rays_received', 0)} · "
-                f"fwd {w.get('rays_forwarded', 0)} · "
-                f"local {w.get('rays_local', 0)}"
-            )
     lines += [
         "",
         f"  {'worker':<14} {'host':<12} {'health':<10} {'done':>5} {'busy s':>8} "

@@ -15,6 +15,20 @@ from .aabb import AABB
 __all__ = ["Transform"]
 
 
+def _rows_matmul(x: np.ndarray, mt: np.ndarray) -> np.ndarray:
+    """``x @ mt``, computing a lone row as if it travelled in a batch.
+
+    BLAS may route a one-row product through a different kernel than a
+    product of n >= 2 rows, and that kernel rounds differently; for
+    n >= 2 a row's bits do not depend on the batch.  Doubling a lone row
+    keeps a ray traced on its own (say, the only ray of a small block
+    that reaches an object) bit-identical to the same ray in a full frame.
+    """
+    if x.ndim == 2 and x.shape[0] == 1:
+        return (np.concatenate((x, x)) @ mt)[:1]
+    return x @ mt
+
+
 class Transform:
     """An invertible affine map ``p -> M @ p + t`` stored as a 4x4 matrix.
 
@@ -117,25 +131,25 @@ class Transform:
     def apply_points(self, p: np.ndarray) -> np.ndarray:
         """Transform points of shape ``(..., 3)``."""
         p = np.asarray(p, dtype=np.float64)
-        return p @ self.m[:3, :3].T + self.m[:3, 3]
+        return _rows_matmul(p, self.m[:3, :3].T) + self.m[:3, 3]
 
     def apply_vectors(self, v: np.ndarray) -> np.ndarray:
         """Transform directions (no translation)."""
         v = np.asarray(v, dtype=np.float64)
-        return v @ self.m[:3, :3].T
+        return _rows_matmul(v, self.m[:3, :3].T)
 
     def apply_normals(self, n: np.ndarray) -> np.ndarray:
         """Transform normals by the inverse-transpose (not renormalized)."""
         n = np.asarray(n, dtype=np.float64)
-        return n @ self.normal_m.T
+        return _rows_matmul(n, self.normal_m.T)
 
     def inv_points(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=np.float64)
-        return p @ self.inv[:3, :3].T + self.inv[:3, 3]
+        return _rows_matmul(p, self.inv[:3, :3].T) + self.inv[:3, 3]
 
     def inv_vectors(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
-        return v @ self.inv[:3, :3].T
+        return _rows_matmul(v, self.inv[:3, :3].T)
 
     def apply_aabb(self, box: AABB) -> AABB:
         """Bounds of a transformed box (bounds of the 8 mapped corners).

@@ -1,18 +1,16 @@
 """Orbit workload: an easing-curve camera sweep around a sphere cluster.
 
-The sharded renderer's natural prey is a *moving camera*: frame
-coherence dies the moment the eye moves (every frame is a camera cut),
-but the object-space shard map barely changes, so workers keep their
-owned geometry warm while the master re-aims the wavefront.  This
-workload provides that regime — the camera rides a full orbit around a
-reflective cluster, its azimuth driven by a QEasingCurve-style
-ease-in-out cubic so it launches gently, sweeps fast over the far side,
-and brakes into the final frame.
+A *moving camera* is frame coherence's worst case: coherence dies the
+moment the eye moves, so every frame is a camera cut.  This workload
+provides that regime — the camera rides a full orbit around a reflective
+cluster, its azimuth driven by a QEasingCurve-style ease-in-out cubic so
+it launches gently, sweeps fast over the far side, and brakes into the
+final frame.
 
 Because the camera differs at every frame,
 :func:`~repro.scene.animation.split_coherent_sequences` degenerates to
-one range per frame — the property ``tests/test_shard.py`` pins, and the
-reason the CLI's coherent engines treat ``orbit`` as worst-case input.
+one range per frame — the property ``tests/test_scenes.py`` pins, and the
+reason every farm unit of an ``orbit`` run is a single frame.
 """
 
 from __future__ import annotations
@@ -39,8 +37,7 @@ def ease_in_out_cubic(t: float) -> float:
 
 def orbit_scene(width: int = 160, height: int = 120) -> Scene:
     """A checkered floor and a ring of mixed-material spheres around a
-    chrome centerpiece — enough occlusion structure that a spatial-median
-    split yields shards with genuinely disjoint domains."""
+    chrome centerpiece — reflections and occlusion in every frame."""
     objects = [
         Plane.from_normal(
             (0, 1, 0),

@@ -32,7 +32,6 @@ from .core import (
     Assignment,
     Chain,
     DemandDrivenPolicy,
-    ObjectSpacePolicy,
     SchedulingPolicy,
     make_policy,
     single_processor_policy,
@@ -66,7 +65,6 @@ __all__ = [
     "Chain",
     "DemandDrivenPolicy",
     "MasterServer",
-    "ObjectSpacePolicy",
     "OracleCostModel",
     "ProcessTransport",
     "SchedOutcome",

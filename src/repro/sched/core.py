@@ -35,7 +35,6 @@ __all__ = [
     "SchedulingPolicy",
     "AdaptiveChainPolicy",
     "DemandDrivenPolicy",
-    "ObjectSpacePolicy",
     "single_processor_policy",
     "make_policy",
     "STRATEGY_POLICIES",
@@ -325,95 +324,6 @@ class AdaptiveChainPolicy(SchedulingPolicy):
         return a
 
 
-class ObjectSpacePolicy(SchedulingPolicy):
-    """Object-space sharding: region indices are *scene shards*, not pixels.
-
-    Units are ``(shard, frame-chunk)`` pairs in frame-major FIFO order.
-    A unit binds its shard to the worker that pulls it — the policy is
-    the shard-ownership authority the TCP session and the simulator
-    share.  Pulls are shard-affine: a worker holding shard *s* gets
-    *s*'s next chunk before an unbound one, so ownership is sticky; when
-    every queued shard is bound elsewhere, the FIFO head migrates (an
-    ownership handoff, same as the loss path).
-
-    Unlike the pixel policies, a worker may hold **several** units in
-    flight at once when the transport opts in (``allow_multi`` — the
-    shard session sets it, because one TCP lane can own many shards
-    while K exceeds the worker count).  A lost worker's in-flight units
-    go back at the *front* of the queue so the reassigned shards resume
-    before new work starts — that is what bounds the replay window.
-    """
-
-    def __init__(self, n_shards: int, n_frames: int, *, frames_per_chunk: int | None = None):
-        super().__init__()
-        if n_shards < 1:
-            raise ValueError("need at least one shard")
-        self.n_shards = int(n_shards)
-        self.n_frames = int(n_frames)
-        fc = self.n_frames if frames_per_chunk is None else max(1, int(frames_per_chunk))
-        self.frames_per_chunk = fc
-        self._queue: deque[tuple[int, int, int]] = deque(
-            (s, f0, min(f0 + fc, self.n_frames))
-            for f0 in range(0, self.n_frames, fc)
-            for s in range(self.n_shards)
-        )
-        self.total_units = self.n_shards * self.n_frames
-        self.units_per_frame = self.n_shards
-        self.allow_multi = False
-        self.shard_owner: dict[int, Worker] = {}
-        self._inflight_multi: dict[Worker, dict[int, Assignment]] = {}
-
-    def next_assignment(self, worker: Worker) -> Assignment | None:
-        if not self.allow_multi and worker in self._inflight:
-            raise RuntimeError(f"worker {worker!r} asked for work with a unit in flight")
-        if not self._queue:
-            return None
-        pick = 0
-        unbound = None
-        for i, (s, _, _) in enumerate(self._queue):
-            owner = self.shard_owner.get(s)
-            if owner == worker:
-                pick = i
-                unbound = None
-                break
-            if owner is None and unbound is None:
-                unbound = i
-        if unbound is not None:
-            pick = unbound
-        self._queue.rotate(-pick)
-        s, f0, f1 = self._queue.popleft()
-        self._queue.rotate(pick)
-        prev_owner = self.shard_owner.get(s)
-        if prev_owner is not None and prev_owner != worker:
-            self.n_steals += 1  # ownership handoff
-        self.shard_owner[s] = worker
-        # fresh marks an ownership (re)bind: the new owner must build the
-        # shard's intersection state from scratch.
-        a = self._emit(worker, s, f0, f1, fresh=prev_owner != worker)
-        self._inflight_multi.setdefault(worker, {})[a.seq] = a
-        return a
-
-    def on_result(self, worker: Worker, assignment: Assignment) -> None:
-        super().on_result(worker, assignment)
-        held = self._inflight_multi.get(worker)
-        if held is not None:
-            held.pop(assignment.seq, None)
-
-    def on_worker_lost(self, worker: Worker) -> Assignment | None:
-        last = self._inflight.pop(worker, None)
-        held = self._inflight_multi.pop(worker, {})
-        if last is not None and last.seq not in held:
-            held[last.seq] = last
-        for a in sorted(held.values(), key=lambda a: a.seq, reverse=True):
-            if a.frame0 < a.frame1:
-                self._queue.appendleft((a.region_index, a.frame0, a.frame1))
-                self.n_reassigned += 1
-        for s, owner in list(self.shard_owner.items()):
-            if owner == worker:
-                del self.shard_owner[s]
-        return last
-
-
 def single_processor_policy(n_frames: int, *, use_coherence: bool) -> AdaptiveChainPolicy:
     """Table 1 columns (1)/(2): one worker walking the whole sequence."""
     return AdaptiveChainPolicy(
@@ -433,7 +343,6 @@ STRATEGY_POLICIES = (
     "sequence-division-fc",
     "frame-division-fc",
     "hybrid-fc",
-    "object-space",
 )
 
 
@@ -481,13 +390,6 @@ def make_policy(
             min_steal_frames=min_steal_frames,
             segment_frames=segment_frames,
             continuation_fresh=continuation_fresh,
-        )
-    if strategy == "object-space":
-        # Regions are scene shards; frames_per_chunk is the chunk size
-        # (capped at the run length, so the default yields one whole-run
-        # unit per shard: static ownership unless a worker is lost).
-        return ObjectSpacePolicy(
-            n_regions, n_frames, frames_per_chunk=min(frames_per_chunk, n_frames)
         )
     if strategy == "hybrid-fc":
         if frames_per_chunk < 1:

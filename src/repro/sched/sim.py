@@ -302,7 +302,6 @@ class SimTransport:
         cfg: RenderFarmConfig | None = None,
         *,
         regions: list[PixelRegion] | None = None,
-        cost_model=None,
         label: str = "sched",
         sec_per_work_unit: float = 1e-4,
         thrash: ThrashModel | None = None,
@@ -317,9 +316,7 @@ class SimTransport:
         self.oracle = oracle
         self.machines = machines
         self.cfg = cfg or RenderFarmConfig()
-        # cost_model overrides the pixel-region pricing (duck-typed
-        # OracleCostModel surface) — the object-space ShardOracle uses it.
-        self.cost = cost_model if cost_model is not None else OracleCostModel(oracle, self.cfg, regions)
+        self.cost = OracleCostModel(oracle, self.cfg, regions)
         self.label = label
         self.sec_per_work_unit = sec_per_work_unit
         self.thrash = thrash

@@ -48,12 +48,7 @@ __all__ = [
 #: time-to-first-tile and bytes-per-message are first-class metrics) and
 #: partial-retry salvage (``dfb.salvage`` when a lost worker's already
 #: composited frames are kept and only the remainder is re-dispatched).
-#: v7: the ``shard.*`` family — object-space sharded runs narrate, per
-#: (shard, frame), how many rays the owner traced for itself versus had
-#: forwarded to it (``shard.rays``) and the ray-exchange wire traffic
-#: (``shard.xfer`` with rays routed + request/reply payload bytes), so
-#: ``repro top`` and the bench can show who owns what and what the ray
-#: trade costs on the wire.
+#: v7: the ``shard.*`` family, retired with the object-space subsystem; nothing emits it.
 #: v8: the observability plane — ``net.worker.lost`` gains ``blackbox``
 #: (path of the victim's flight-recorder dump, ``""`` when none landed),
 #: ``obs.blackbox`` records a dump arriving at the master (written locally
@@ -104,9 +99,6 @@ EVENT_SCHEMA: dict[str, frozenset[str]] = {
     # -- distributed framebuffer (repro.dfb) --------------------------------
     "dfb.tile": frozenset({"worker", "seq", "frame", "x0", "y0", "x1", "y1", "nbytes"}),
     "dfb.salvage": frozenset({"worker", "seq", "frame0", "frame_done", "frame1"}),
-    # -- object-space sharding (repro.shard) --------------------------------
-    "shard.rays": frozenset({"worker", "shard", "frame", "n_local", "n_forwarded"}),
-    "shard.xfer": frozenset({"worker", "shard", "frame", "n_rays", "nbytes"}),
     # -- distributed tracing (repro.obs) -----------------------------------
     "run": frozenset({"engine"}),
     "obs.flight": frozenset({"worker", "seq", "attempt", "outcome"}),

@@ -8,9 +8,11 @@ stays bit-identical to the serial reference even when a worker daemon is
 killed mid-sequence.
 """
 
+import random
 import socket
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -102,6 +104,87 @@ def test_decode_rejects_junk():
         wire.decode(wire.encode("hello")[:-2])
     with pytest.raises(wire.ProtocolError, match="trailing"):
         wire.decode(wire.encode(1) + b"\x00")
+
+
+def _array_payload(dtype: bytes, shape, data: bytes, compressed: bool = False) -> bytes:
+    """A hand-built array value, so its header can disagree with its body."""
+    return (
+        b"a" + bytes([len(dtype)]) + dtype + bytes([len(shape)])
+        + b"".join(wire._U64.pack(d) for d in shape)
+        + bytes([int(compressed)]) + wire._U64.pack(len(data)) + data
+    )
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param(b"s" + wire._U32.pack(2) + b"\xff\xfe", id="invalid-utf8"),
+        pytest.param(
+            b"d" + wire._U32.pack(1) + wire.encode([1]) + wire.encode(1), id="list-as-key"
+        ),
+        pytest.param(_array_payload(b"zz", (1,), bytes(8)), id="bad-dtype"),
+        pytest.param(_array_payload(b"<f8", (3,), bytes(32)), id="shape-vs-bytes"),
+        pytest.param(_array_payload(b"<f8", (4,), b"not zlib", compressed=True), id="bad-zlib"),
+        pytest.param(
+            _array_payload(b"<f8", (4,), zlib.compress(bytes(64)), compressed=True),
+            id="inflates-past-shape",
+        ),
+        pytest.param(_array_payload(b"|O", (1,), bytes(8)), id="object-dtype"),
+        pytest.param(_array_payload(b"<f8", (0, 1 << 62), b""), id="empty-but-huge"),
+        pytest.param(b"l\x00\x00\x00\x01" * 20000, id="deep"),
+    ],
+)
+def test_decode_raises_only_protocol_errors(payload):
+    """One bad frame must cost the sender its lane, not end the run: the
+    master catches ProtocolError and nothing else."""
+    with pytest.raises(wire.ProtocolError):
+        wire.decode(payload)
+
+
+def test_retired_message_codes_are_unknown():
+    for code in (13, 14):
+        asm = wire.FrameAssembler()
+        asm.feed(wire._HEADER.pack(wire.MAGIC, wire.PROTO_VERSION, code, 0, 1) + b"N")
+        with pytest.raises(wire.ProtocolError, match="unknown message type"):
+            list(asm)
+
+
+def test_decode_mutation_fuzz_is_total():
+    """Seeded mutations of real payloads decode to a value or raise
+    ProtocolError — never any other exception."""
+    rng = random.Random(1998)
+    seeds = [
+        wire.encode(v, compress_arrays=c, compress_min_bytes=16)
+        for c in (False, True)
+        for v in (
+            {"seq": 3, "region": (1, 2), "args": ["newton", 0.5, None, True]},
+            {"pixels": np.arange(48, dtype=np.float64).reshape(4, 4, 3), "frame": 7},
+            [np.zeros((2, 3), dtype=np.int32), "héllo", b"raw", {"k": (1.5, -2)}],
+        )
+    ]
+    outcomes = {"value": 0, "error": 0}
+    for _ in range(3000):
+        data = bytearray(rng.choice(seeds))
+        for _ in range(rng.randint(1, 4)):
+            op = rng.randrange(4)
+            i = rng.randrange(len(data))
+            if op == 0:
+                data[i] = rng.randrange(256)
+            elif op == 1:
+                data[i] ^= 1 << rng.randrange(8)
+            elif op == 2:
+                del data[i : i + rng.randint(1, 8)]
+            else:
+                data[i:i] = bytes(rng.randrange(256) for _ in range(rng.randint(1, 8)))
+            if not data:
+                data = bytearray(b"N")
+        try:
+            wire.decode(bytes(data))
+        except wire.ProtocolError:
+            outcomes["error"] += 1
+        else:
+            outcomes["value"] += 1
+    assert outcomes["value"] and outcomes["error"]
 
 
 # -- framing ----------------------------------------------------------------------

@@ -77,6 +77,18 @@ def test_process_executor_matches(spec, reference):
     np.testing.assert_array_equal(res.frames, reference.frames)
 
 
+def test_frame_division_matches_reference_at_full_block_size():
+    """160x120 with the default 40x40 blocks: a block can send a lone ray
+    through an object transform that a full frame traces in a batch.  At
+    5 Newton frames that ray used to differ from the reference by one ulp
+    (frame 2); the frame-division farm must match the serial engine bit
+    for bit."""
+    spec = AnimationSpec.newton(n_frames=5, width=160, height=120)
+    farm = LocalRenderFarm(spec, mode="frame", schedule="static", executor="serial")
+    res = farm.render()
+    np.testing.assert_array_equal(res.frames, farm.render_reference().frames)
+
+
 def test_hybrid_mode_matches_reference(spec, reference):
     farm = LocalRenderFarm(
         spec, mode="hybrid", executor="serial", grid_resolution=12, frames_per_chunk=2

@@ -11,8 +11,10 @@ from repro.scenes import (
     brick_room_animation,
     brick_room_scene,
     cradle_angles,
+    ease_in_out_cubic,
     newton_animation,
     newton_scene,
+    orbit_animation,
 )
 
 
@@ -138,3 +140,26 @@ def test_brick_room_refracts():
     scene = brick_room_scene(width=48, height=36)
     _, res = RayTracer(scene).render()
     assert res.stats.refracted > 0  # the glass ball
+
+
+# -- Orbit ----------------------------------------------------------------------
+def test_ease_in_out_cubic_shape():
+    assert ease_in_out_cubic(0.0) == 0.0
+    assert ease_in_out_cubic(0.5) == 0.5
+    assert ease_in_out_cubic(1.0) == 1.0
+    assert ease_in_out_cubic(-1.0) == 0.0 and ease_in_out_cubic(2.0) == 1.0
+    samples = [ease_in_out_cubic(t) for t in np.linspace(0, 1, 33)]
+    assert all(b >= a for a, b in zip(samples, samples[1:]))
+    # Ease-in: slower than linear early, faster mid-curve.
+    assert ease_in_out_cubic(0.25) < 0.25
+    assert ease_in_out_cubic(0.75) > 0.75
+
+
+def test_orbit_moving_camera_splits_per_frame():
+    anim = orbit_animation(n_frames=5, width=32, height=24)
+    assert anim.n_frames == 5
+    assert split_coherent_sequences(anim) == [(f, f + 1) for f in range(5)]
+    # The eased azimuth must cover the full revolution, endpoints exact.
+    cams = [anim.scene_at(f).camera for f in range(5)]
+    assert np.allclose(cams[0].position, cams[-1].position)
+    assert not np.allclose(cams[0].position, cams[2].position)

@@ -173,44 +173,6 @@ def test_multiworker_chains_cover_every_frame_once(tiny_oracle, machines):
         assert dispatched == list(range(n))
 
 
-def test_object_space_equivalent_across_sim_and_tcp(tiny_oracle, machines, cfg):
-    """The object-space policy is the same state machine under the
-    discrete-event simulator (priced by :class:`ShardOracle`) and the real
-    TCP ray-trading session: identical dispatch logs, identical modelled
-    ray-exchange totals — and the TCP side actually rendered the frames
-    bit-identically to the serial tracer."""
-    from repro.render import RayTracer
-    from repro.shard import ShardOracle, ShardProfile, render_frame_sharded
-    from repro.shard.net import render_sharded_tcp
-
-    spec = AnimationSpec.newton(n_frames=2, width=24, height=18)
-    anim = spec.build()
-    k = 3
-    per_frame = []
-    for f in range(2):
-        scene = anim.scene_at(f)
-        _, result, stats = render_frame_sharded(scene, shards=k)
-        per_frame.append((stats, int(result.rays_per_pixel.sum())))
-    profile = ShardProfile.from_stats(per_frame, anim.scene_at(0).camera.n_pixels)
-    shard_oracle = ShardOracle(profile, n_shards=k, cfg=cfg)
-
-    p_sim = make_policy("object-space", 2, n_regions=k)
-    sim_out = _run_sim(
-        p_sim, tiny_oracle, None, machines[:2], "object-space", cost_model=shard_oracle
-    )
-
-    session, tcp_out = render_sharded_tcp(spec, frames=2, shards=k, n_workers=2)
-
-    assert p_sim.finished
-    assert [a.key() for a in p_sim.log] == [a.key() for a in tcp_out.assignments]
-    rays = shard_oracle.total_rays_of_log(p_sim.log)
-    assert rays == shard_oracle.total_rays_of_log(tcp_out.assignments)
-    assert rays > 0 and shard_oracle.ray_bytes_of_log(p_sim.log) > 0
-    assert sim_out.total_rays == rays
-    fb, _ = RayTracer(anim.scene_at(0)).render()
-    assert np.array_equal(fb.data, session.frames[0].data)
-
-
 # -- edge cases, against both transports ------------------------------------------
 @pytest.fixture(params=["sim", "process"])
 def run_policy(request, machines):

@@ -106,6 +106,26 @@ def test_normals_under_nonuniform_scale():
     assert abs(float(np.dot(tn[0], tangent[0]))) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "method", ["apply_points", "apply_vectors", "apply_normals", "inv_points", "inv_vectors"]
+)
+def test_lone_row_matches_the_same_row_in_a_batch(method):
+    """A ray traced alone must get the bits it gets inside a wavefront:
+    frame division sends lone rays through transforms that the serial
+    engine batches."""
+    rng = np.random.default_rng(1998)
+    t = (
+        Transform.translate(0.3, -2.1, 4.7)
+        @ Transform.rotate_axis(np.array([0.4, 1.0, -0.3]), 0.9)
+        @ Transform.scale(1.7, 0.6, 2.2)
+    )
+    apply = getattr(t, method)
+    rows = rng.normal(scale=10.0, size=(64, 3))
+    batch = apply(rows)
+    for i in range(len(rows)):
+        np.testing.assert_array_equal(apply(rows[i : i + 1]), batch[i : i + 1])
+
+
 def test_apply_aabb_rotation():
     box = AABB(vec3(-1, -1, -1), vec3(1, 1, 1))
     t = Transform.rotate_z(np.pi / 4)
